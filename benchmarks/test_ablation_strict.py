@@ -1,9 +1,10 @@
 """Ablation — strict pruning closure vs the paper's pruning.
 
-Reproduction finding (DESIGN.md 4a): the paper's cost-dominance pruning
-loses its guarantee on objective subsets that are not closed under the
-cost model's recursive dependencies (startup time reads total time;
-local cost terms read sampling-dependent cardinality). This benchmark
+Reproduction finding (see ``repro.core.dp.strict_closure``): the
+paper's cost-dominance pruning loses its guarantee on objective subsets
+that are not closed under the cost model's recursive dependencies
+(startup time reads total time; local cost terms read
+sampling-dependent cardinality). This benchmark
 quantifies the tradeoff on the observed TPC-H Q5 case family: the
 default mode is faster but can exceed alpha by an order of magnitude,
 strict mode pays more optimization time and honors the guarantee.

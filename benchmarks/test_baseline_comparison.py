@@ -67,7 +67,8 @@ def test_baseline_comparison(benchmark, report):
         ],
     ))
     # Only the RTA carries a guarantee; random objective subsets may be
-    # open (DESIGN.md 4a), so require the vast majority within alpha.
+    # open (see repro.core.dp.strict_closure), so require the vast
+    # majority within alpha.
     within = sum(
         1 for row in rows if row["rta_factor"] <= ALPHA * (1 + 1e-9)
     )

@@ -25,8 +25,9 @@ def test_fig9_weighted_moqo(benchmark, report):
     # violation: cells whose average weighted-cost percentage exceeds
     # the variant's alpha. Random objective subsets are not necessarily
     # closed under the cost model's recursive dependencies, so a few
-    # violations are expected in default mode (see DESIGN.md 4a and the
-    # strict-mode ablation); the paper observed the same on TPC-H q7.
+    # violations are expected in default mode (see
+    # repro.core.dp.strict_closure and the strict-mode ablation); the
+    # paper observed the same on TPC-H q7.
     guarantee = {"RTA(1.15)": 115.0, "RTA(1.5)": 150.0, "RTA(2)": 200.0}
     violations = [
         (label, cell.query_number, cell.parameter,
@@ -39,7 +40,7 @@ def test_fig9_weighted_moqo(benchmark, report):
     text = format_figure(
         "Figure 9 — weighted MOQO: EXA vs RTA", cells, FIGURE9_METRICS,
     )
-    text += "\nguarantee exceedances (open objective subsets, DESIGN.md 4a):"
+    text += "\nguarantee exceedances (open objective subsets, see strict_closure):"
     if violations:
         for label, query_number, parameter, value in violations:
             text += f"\n  {label} q{query_number}/l={parameter}: {value:.0f}%"

@@ -3,9 +3,7 @@
 The paper's schemes are CPU-bound Python dynamic programs, so the
 thread backend can only overlap bookkeeping — the GIL serializes the
 real work. This benchmark runs the same generated 100-query workload
-through both backends and reports wall-clock throughput, plus the
-bit-for-bit equality of intra-query-sharded EXA/RTA frontiers with
-their single-process counterparts.
+through both backends and reports wall-clock throughput.
 
 Speedup assertions are gated on the parallelism actually available:
 ``min(--workers, usable CPUs)``. With four-way parallelism the process
@@ -21,8 +19,6 @@ import time
 import pytest
 
 from repro.bench.experiments import BENCH_CONFIG, make_service
-from repro.core.rta import rta
-from repro.core.exa import exact_moqo
 from repro.parallel.pool import usable_cpu_count as usable_cpus
 from repro.workload import WorkloadGenerator
 
@@ -97,42 +93,3 @@ def test_process_backend_throughput(workload, parallel_workers, report):
         )
     # Single-CPU environments: reported, not asserted.
 
-
-@pytest.mark.parametrize("algorithm", ["exa", "rta"])
-def test_sharded_frontier_bitwise_equal(
-    workload, parallel_workers, algorithm, report
-):
-    """Sharded EXA/RTA frontiers match unsharded ones exactly."""
-    with make_service(
-        backend="processes", workers=parallel_workers, cache_size=16
-    ) as service:
-        checked = 0
-        mismatches = []
-        for request in workload[:3] + workload[-3:]:
-            request = request.replace(algorithm=algorithm)
-            block = request.query.main_block
-            if algorithm == "rta":
-                base = rta(
-                    block, service.optimizer.cost_model,
-                    request.preferences, request.alpha, service.config,
-                )
-            else:
-                base = exact_moqo(
-                    block, service.optimizer.cost_model,
-                    request.preferences, service.config,
-                )
-            service.cache.clear()
-            sharded = service.submit_sharded(
-                request, num_shards=parallel_workers
-            )
-            checked += 1
-            if [c for c, _ in sharded.frontier] != [
-                c for c, _ in base.frontier
-            ] or sharded.plan_cost != base.plan_cost:
-                mismatches.append(request.query_name)
-        report(
-            f"sharded {algorithm} frontiers: {checked} checked, "
-            f"{len(mismatches)} mismatches ({parallel_workers} shards, "
-            f"bitwise comparison)"
-        )
-        assert not mismatches

@@ -16,8 +16,9 @@ for Many-Objective Query Optimization" (SIGMOD 2014 / arXiv:1404.0046):
   pluggable execution backends and per-request metrics hooks;
 * a parallel backend (:mod:`repro.parallel`): a warm process pool
   (``backend="processes"``) that sidesteps the GIL for batch
-  throughput, deterministic plan-space sharding for EXA/RTA, and
-  deadline-aware scheduling with an anytime (IRA) fallback;
+  throughput, fingerprint sharding that keeps repeats on one worker's
+  plan cache, and deadline-aware scheduling with an anytime (IRA)
+  fallback;
 * a benchmark harness regenerating every figure of the paper's
   evaluation.
 
@@ -121,7 +122,6 @@ from repro.parallel import (
     DeadlineScheduler,
     ShardPlanner,
     WorkerPool,
-    sharded_moqo,
 )
 from repro.plans import JoinMethod, JoinPlan, Plan, ScanMethod, ScanPlan
 from repro.serving import (
@@ -209,7 +209,6 @@ __all__ = [
     "rta",
     "select_best",
     "selinger",
-    "sharded_moqo",
     "single_block",
     "tpch_query",
     "tpch_schema",

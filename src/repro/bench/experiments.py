@@ -1,6 +1,6 @@
 """Experiment definitions for every figure of the paper's evaluation.
 
-Scaling note (see DESIGN.md): the paper ran C code inside Postgres on a
+Scaling note: the paper ran C code inside Postgres on a
 12-core Xeon with a two-hour timeout. Pure Python is orders of magnitude
 slower, so the default experiment scale is reduced along three
 documented axes — operator space (:data:`BENCH_CONFIG`), test cases per

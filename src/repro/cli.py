@@ -102,11 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for the chosen backend (default: auto)",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="intra-query plan-space shards for exa/rta (default: off); "
-             "the sharded frontier is identical to the unsharded one",
-    )
-    parser.add_argument(
         "--sweep-alpha", metavar="A1,A2,...", default=None,
         help="optimize the query at several precisions as one batch "
              "through the chosen backend; prints one summary per alpha",
@@ -685,8 +680,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     except Exception as error:  # invalid request -> CLI error, no traceback
         raise SystemExit(str(error))
-    if args.sweep_alpha and args.shards:
-        raise SystemExit("--sweep-alpha and --shards are mutually exclusive")
     profiler = cProfile.Profile() if args.profile is not None else None
     if profiler is not None:
         profiler.enable()
@@ -709,8 +702,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  alpha={alpha:<6} {sweep_result.summary()}")
             print()
             result = results[-1]
-        elif args.shards:
-            result = service.submit_sharded(request, num_shards=args.shards)
         else:
             result = service.submit(request)
     except Exception as error:

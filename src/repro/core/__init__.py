@@ -74,13 +74,3 @@ __all__ = [
     "select_best",
     "selinger",
 ]
-
-
-def __getattr__(name: str):
-    if name == "ALGORITHMS":
-        raise ImportError(
-            "the ALGORITHMS tuple was removed in the service-oriented API "
-            "redesign; call repro.available_algorithms() for the "
-            "registered algorithm names"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

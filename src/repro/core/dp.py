@@ -27,8 +27,10 @@ backpointers, so materialization is a cheap gather).
 the scalar loop's order (spec-major, then outer, then inner) and the
 kernels mirror the scalar formulas operation for operation, so the
 resulting plan sets — entry order included — are bit-for-bit identical
-to the scalar path's, which is what keeps the prefix-replay shard
-equality guarantees of :mod:`repro.parallel.sharding` intact. The
+to the scalar path's. The scalar loop stays the reference because it
+still shares runs with the block path: it handles blocks too small to
+batch, every set built after a timeout, and pruning structures without
+a bit-identical block mask, all inside the same enumeration. The
 property tests in ``tests/test_vectorized_equivalence.py`` enforce the
 contract, and ``repro lint`` rule REP001 enforces its preconditions
 statically: no unseeded RNG, wall-clock reads, or unordered set
@@ -60,8 +62,9 @@ from repro.query.query import Query
 #: variant to be injected without changing the DP skeleton).
 PlanSetFactory = Callable[[], PlanSet]
 
-#: Vector positions involved in strict-mode closure (see DESIGN.md):
-#: startup time's recursive formula reads the sub-plans' total time.
+#: Vector positions involved in strict-mode closure (see
+#: :func:`strict_closure`): startup time's recursive formula reads the
+#: sub-plans' total time.
 _STARTUP_INDEX = 1
 _TOTAL_INDEX = 0
 
@@ -82,9 +85,25 @@ _MAX_BLOCK_ROWS = 32768
 def strict_closure(indices: tuple[int, ...]) -> tuple[int, ...]:
     """Extra objective dimensions strict mode adds to the pruning key.
 
-    Currently: total time, whenever startup time is selected without it
-    (the only cross-objective dependency among the cost formulas; the
-    cardinality dependency is handled by the appended rows dimension).
+    The paper's cost-dominance pruning assumes the recursive cost
+    formulas read only the *selected* objectives of the sub-plans. Two
+    dependencies break that once the paper's own plan-space extensions
+    are in place:
+
+    * startup time reads the sub-plans' **total time** (e.g. a hash
+      join's startup includes building the inner);
+    * every local cost term reads the sub-plans' **cardinality**, which
+      the sampling scan makes plan-dependent.
+
+    Selecting an objective subset that is not closed under these
+    dependencies (e.g. {startup, disk, energy}) lets both the EXA and
+    the RTA prune plans whose hidden dimensions would have paid off
+    higher in the plan tree — observed factors of 17x beyond alpha on
+    TPC-H Q5. Strict mode closes the subset: this function adds total
+    time whenever startup time is selected without it, and
+    :class:`DPRun` appends the output rows as an exactly compared
+    dimension (``include_rows``). The default mode reproduces the
+    paper's pruning unchanged.
     """
     if _STARTUP_INDEX in indices and _TOTAL_INDEX not in indices:
         return (_TOTAL_INDEX,)
@@ -127,9 +146,9 @@ class DPRun:
         pruning key (e.g. total time when only startup time is selected)
         and ``include_rows`` appends the plan's output cardinality as an
         exactly-compared dimension — together these form the *strict
-        mode* closure described in DESIGN.md. Weights are padded with
-        zeros over the appended dimensions, so weighted-cost decisions
-        (timeout fallback, SelectBest) are unaffected."""
+        mode* closure described at :func:`strict_closure`. Weights are
+        padded with zeros over the appended dimensions, so weighted-cost
+        decisions (timeout fallback, SelectBest) are unaffected."""
         self.query = query
         self.cost_model = cost_model
         self.config = config
@@ -257,24 +276,9 @@ class DPRun:
 
     def _build_composite(self, mask: int, sets: dict[int, PlanSet]) -> PlanSet:
         plan_set = self._new_set()
-        self._combine_splits(plan_set, self.graph.splits(mask), sets)
-        return plan_set
-
-    def _combine_splits(
-        self,
-        plan_set: PlanSet,
-        splits,
-        sets: dict[int, PlanSet],
-    ) -> None:
-        """Prune ``plan_set`` with every join built from ``splits``.
-
-        Factored out of :meth:`_build_composite` so plan-space sharding
-        (:mod:`repro.parallel.sharding`) can drive the same combination
-        logic over a sub-range of a table set's splits.
-        """
         graph = self.graph
         left_deep = self.config.plan_shape is PlanShape.LEFT_DEEP
-        for left_mask, right_mask in splits:
+        for left_mask, right_mask in graph.splits(mask):
             left_set = sets.get(left_mask)
             right_set = sets.get(right_mask)
             if left_set is None or right_set is None or not left_set or not right_set:
@@ -299,6 +303,7 @@ class DPRun:
             if not left_deep or left_mask.bit_count() == 1:
                 self._combine_pair(plan_set, right_set, left_mask,
                                    left_set, predicates, selectivity)
+        return plan_set
 
     def _combine_pair(
         self,

@@ -40,9 +40,10 @@ def exact_moqo(
     config-derived timeout; the facade uses it to share one deadline
     across the blocks of a multi-block query.
 
-    ``strict`` enables the strict pruning closure (DESIGN.md): the
-    paper's plain cost-dominance pruning can discard plans whose lower
-    output cardinality would have paid off higher up the plan tree once
+    ``strict`` enables the strict pruning closure (see
+    :func:`repro.core.dp.strict_closure`): the paper's plain
+    cost-dominance pruning can discard plans whose lower output
+    cardinality would have paid off higher up the plan tree once
     sampling makes cardinality plan-dependent; strict mode adds the
     dependency dimensions to the pruning key, restoring the optimality
     guarantee for arbitrary objective subsets at higher cost.

@@ -96,7 +96,7 @@ def ira(
     near-optimality guarantee holds for any policy that decreases to 1.
 
     ``strict`` enables the strict pruning closure (see
-    :func:`repro.core.rta.rta` and DESIGN.md).
+    :func:`repro.core.dp.strict_closure`).
     """
     if alpha_u < 1.0:
         raise InvalidPrecisionError(alpha_u)
@@ -195,12 +195,12 @@ def _stopping_condition_met(
     the bounds could still reveal a plan proving ``p_opt`` more than
     ``alpha_U`` from optimal.
 
-    Strengthening (see DESIGN.md): when ``p_opt`` itself violates the
-    bounds, ``SelectBest`` fell back to the unconstrained weighted
-    minimum, whose (small) weighted cost can satisfy the paper's
-    condition even though a bound-respecting plan exists — the returned
-    plan would then have infinite relative cost under Definition 3. We
-    therefore also require that either ``p_opt`` respects the bounds or
+    Strengthening: when ``p_opt`` itself violates the bounds,
+    ``SelectBest`` fell back to the unconstrained weighted minimum,
+    whose (small) weighted cost can satisfy the paper's condition even
+    though a bound-respecting plan exists — the returned plan would
+    then have infinite relative cost under Definition 3. We therefore
+    also require that either ``p_opt`` respects the bounds or
     no generated plan respects even the relaxed bounds (which proves
     that no feasible plan exists at all: any feasible plan's
     alpha-cover in the set would respect ``alpha * B``). Termination is

@@ -137,7 +137,8 @@ class MultiObjectiveOptimizer:
         ``selinger`` requires exactly one selected objective. ``strict``
         enables the strict pruning closure that restores the formal
         guarantees for objective subsets that are not closed under the
-        cost model's recursive dependencies (DESIGN.md).
+        cost model's recursive dependencies (see
+        :func:`repro.core.dp.strict_closure`).
         """
         request = OptimizationRequest(
             query=query,
@@ -197,15 +198,3 @@ class MultiObjectiveOptimizer:
             deadline_hit=any(r.deadline_hit for r in block_results),
             phase_ms=phase_totals,
         )
-
-
-def __getattr__(name: str):
-    if name == "ALGORITHMS":
-        raise ImportError(
-            "the module-level ALGORITHMS tuple was removed in the "
-            "service-oriented API redesign; call "
-            "repro.available_algorithms() (repro.core.registry) for the "
-            "registered algorithm names, or register custom algorithms "
-            "with repro.core.registry.register_algorithm"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -73,7 +73,7 @@ class PlanSet:
 
     ``exact_suffix`` marks how many trailing dimensions of the stored
     tuples are compared *exactly* even when ``alpha > 1``. Strict-mode
-    pruning (see DESIGN.md) appends the plan's output cardinality as
+    pruning (see :func:`repro.core.dp.strict_closure`) appends the plan's output cardinality as
     such a dimension: a plan may then only prune another if it produces
     no more rows, which is what makes the near-optimality argument
     sound when sampling makes cardinality plan-dependent.

@@ -4,9 +4,7 @@ Algorithms register under a short name via the :func:`register_algorithm`
 decorator and declare their capabilities in an :class:`AlgorithmSpec`:
 whether they consume the approximation precision ``alpha``, whether they
 honor cost bounds natively (bounded-weighted MOQO) or require them to be
-stripped, and whether they are restricted to a single objective. The
-registry replaces the old if/elif dispatch and the module-level
-``ALGORITHMS`` tuple in :mod:`repro.core.optimizer`.
+stripped, and whether they are restricted to a single objective.
 
 All runners share one uniform signature::
 

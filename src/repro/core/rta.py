@@ -58,10 +58,10 @@ def rta(
     The RTA targets weighted MOQO; finite bounds require the IRA
     (Section 7) and are rejected here.
 
-    ``strict`` enables the strict pruning closure (DESIGN.md): the
-    formal alpha_U guarantee of Theorem 3 requires the objective
-    selection to be closed under the cost model's recursive
-    dependencies (startup time reads total time; all local cost terms
+    ``strict`` enables the strict pruning closure (see
+    :func:`repro.core.dp.strict_closure`): the formal alpha_U guarantee
+    of Theorem 3 requires the objective selection to be closed under
+    the cost model's recursive dependencies (startup time reads total time; all local cost terms
     read the sub-plans' cardinality, which sampling makes
     plan-dependent). Strict mode augments the pruning key with these
     dimensions so the guarantee holds for *any* objective subset, at

@@ -568,73 +568,6 @@ class OptimizerService:
         self._dispatch(record)
         return result
 
-    def submit_sharded(
-        self,
-        request: OptimizationRequest,
-        num_shards: int | None = None,
-    ) -> OptimizationResult:
-        """Execute one EXA/RTA request with intra-query sharding.
-
-        The request's top-level split space is partitioned into
-        ``num_shards`` shard tasks (default: the worker count) and the
-        shard frontiers are merged deterministically — the result is
-        bit-for-bit what :meth:`submit` would produce. Shards run on the
-        worker pool under the process backend and in-process otherwise.
-        Only single-block queries and the single-pass algorithms
-        (``exa``/``rta``) are shardable; others raise
-        :class:`~repro.exceptions.OptimizerError`.
-        """
-        from repro.parallel.pool import default_worker_count
-        from repro.parallel.sharding import (
-            SHARDABLE_ALGORITHMS,
-            sharded_moqo,
-        )
-
-        if request.algorithm not in SHARDABLE_ALGORITHMS:
-            raise OptimizerError(
-                f"intra-query sharding supports {SHARDABLE_ALGORITHMS}, "
-                f"got {request.algorithm!r}"
-            )
-        if request.query.has_subqueries:
-            raise OptimizerError(
-                "intra-query sharding supports single-block queries; "
-                "optimize multi-block queries per request instead"
-            )
-        key = request.fingerprint(self.config)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self._report(request, key, cached, cache_hit=True)
-            return cached
-        if num_shards is None:
-            num_shards = (
-                self.workers
-                if self.workers is not None
-                else default_worker_count()
-            )
-        config = request.effective_config(self.config)
-        run_tasks = (
-            self.worker_pool().execute_shards
-            if self.backend == "processes"
-            else None
-        )
-        result = sharded_moqo(
-            request.query.main_block,
-            self._optimizer.cost_model,
-            request.preferences,
-            request.alpha,
-            config,
-            algorithm=request.algorithm,
-            num_shards=num_shards,
-            strict=request.strict,
-            budget_seconds=config.timeout_seconds,
-            run_tasks=run_tasks,
-        )
-        result = dataclasses.replace(result, query_name=request.query.name)
-        if not result.timed_out and not result.deadline_hit:
-            self.cache.put(key, result)
-        self._report(request, key, result, cache_hit=False)
-        return result
-
     def optimize_many(
         self,
         requests: Sequence[OptimizationRequest],

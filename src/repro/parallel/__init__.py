@@ -6,10 +6,8 @@ multi-core service backend:
 * :class:`WorkerPool` — warm, spawn-safe worker processes, each with
   its own algorithm registry, cost model and plan cache; results and
   per-request metrics ship back to the parent.
-* :class:`ShardPlanner` — batch-level sharding by request fingerprint
-  (cache affinity) and deterministic intra-query sharding of the
-  EXA/RTA plan space with a replay merge that reproduces the
-  single-process frontier bit for bit.
+* :class:`ShardPlanner` — batch-level sharding by request fingerprint:
+  equal requests land on the same worker and hit its plan cache.
 * :class:`DeadlineScheduler` — end-to-end per-request deadlines:
   queueing counts, near-deadline requests reroute to the anytime IRA,
   and missed deadlines surface as ``OptimizationResult.deadline_hit``.
@@ -24,29 +22,15 @@ from repro.parallel.pool import (
     default_worker_count,
     usable_cpu_count,
 )
-from repro.parallel.sharding import (
-    SHARDABLE_ALGORITHMS,
-    ShardOutcome,
-    ShardPlanner,
-    ShardTask,
-    execute_shard,
-    merge_shard_outcomes,
-    sharded_moqo,
-)
+from repro.parallel.sharding import ShardPlanner
 from repro.parallel.worker import WorkerSetup
 
 __all__ = [
     "DeadlineScheduler",
-    "SHARDABLE_ALGORITHMS",
     "ScheduledRequest",
-    "ShardOutcome",
     "ShardPlanner",
-    "ShardTask",
     "WorkerPool",
     "WorkerSetup",
     "default_worker_count",
-    "execute_shard",
-    "merge_shard_outcomes",
-    "sharded_moqo",
     "usable_cpu_count",
 ]

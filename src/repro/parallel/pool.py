@@ -58,12 +58,11 @@ from repro.core.result import OptimizationResult
 from repro.cost.postgres_params import DEFAULT_PARAMS, CostParams
 from repro.exceptions import WorkerCrashError
 from repro.obs.trace import Span, TraceContext, active_tracer
-from repro.parallel.sharding import ShardOutcome, ShardPlanner, ShardTask
+from repro.parallel.sharding import ShardPlanner
 from repro.parallel.worker import (
     WorkerSetup,
     execute_request,
     execute_request_group,
-    execute_shard_task,
     initialize_worker,
     ping,
 )
@@ -432,18 +431,6 @@ class WorkerPool:
             for request, epoch in zip(requests, deadline_epochs)
         ]
         return [gather(submission) for submission in submissions]
-
-    def execute_shards(self, tasks: list[ShardTask]) -> list[ShardOutcome]:
-        """Fan one query's shard tasks out over the workers.
-
-        Supervised (respawn + single re-dispatch per shard) but never
-        chaos-faulted — shards belong to one query, and the intra-query
-        merge contract is exercised elsewhere.
-        """
-        submissions = [
-            self._submit(execute_shard_task, (task,)) for task in tasks
-        ]
-        return [self._await(submission) for submission in submissions]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, object]:

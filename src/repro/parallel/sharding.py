@@ -1,302 +1,29 @@
-"""Plan-space sharding: partition one query's search space across workers.
+"""Batch sharding: partition a batch of requests across workers.
 
-Two sharding modes live here:
+:meth:`ShardPlanner.partition_requests` groups a batch of requests by
+their canonical fingerprint. Requests with the same fingerprint land in
+the same group, and each group executes sequentially on one worker, so
+repeats within a batch hit that worker's plan cache instead of being
+optimized twice in parallel.
 
-* **Batch sharding** — :meth:`ShardPlanner.partition_requests` groups a
-  batch of requests by their canonical fingerprint. Requests with the
-  same fingerprint land in the same group, and each group executes
-  sequentially on one worker, so repeats within a batch hit that
-  worker's plan cache instead of being optimized twice in parallel.
-
-* **Intra-query sharding** — for the single-pass dynamic programs (EXA
-  and RTA) the *seed space of join orders* is partitioned: every join
-  order is rooted in one top-level split of the full table set (the
-  root join's operand partition), and the ordered split list is cut
-  into contiguous ranges, one per shard.
-
-The intra-query scheme is *prefix-replay* sharding, chosen so that the
-merged result is **bit-for-bit identical** to the single-process run.
-(The vectorized enumeration of :mod:`repro.core.dp` preserves the
-scalar loop's candidate order and accept/discard decisions exactly, so
-the guarantee holds identically whether shards run the batched or the
-scalar hot path — and even when the two sides of a comparison mix
-them.)
-Approximate dominance pruning is history-dependent (it is not
-transitive: keeping or dropping a plan depends on which plans arrived
-before it), so independently pruned shards cannot simply be
-Pareto-merged — plans discarded inside one shard may survive the
-sequential run, and vice versa. Instead:
-
-1. every shard recomputes the plan sets of all proper table subsets —
-   this part of the DP is deterministic and identical in every shard;
-2. shard ``k`` processes top-level splits ``[0, stop_k)`` — its own
-   range *plus the whole prefix* — through the ordinary pruning
-   structure, but only reports entries first accepted inside its own
-   range ``[start_k, stop_k)``. Processing the prefix reconstructs the
-   exact pruning state the sequential run would have had when entering
-   the shard's range, so every accept/reject/discard decision inside
-   the range is the sequential one;
-3. the merge replays the shard reports in shard order through a fresh
-   pruning structure with the same precision. Cross-range discards
-   (a later split's plan dominating an earlier split's plan) happen at
-   replay exactly where the sequential run applied them.
-
-The price is the duplicated sub-set work of step 1 (and the replayed
-prefixes of step 2): intra-query sharding pays off when the final
-level dominates the run — the many-objective EXA regime, where the
-paper observes the number of Pareto plans per table set exploding —
-and is a determinism-preserving building block, not a general speedup.
-Batch-level sharding over the process pool is the throughput path.
+One query block is never split across workers: the single-pass DP's
+approximate-dominance pruning depends on insertion order, and the
+request-level partition already delivers the throughput.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.config import OptimizerConfig
-from repro.core.dp import (
-    DPRun,
-    deadline_exceeded,
-    strict_closure,
-    strip_entries,
-)
-from repro.core.instrumentation import Counters
-from repro.core.preferences import Preferences
-from repro.core.pruning import PlanSet
-from repro.core.registry import get_algorithm
 from repro.core.request import OptimizationRequest
-from repro.core.result import OptimizationResult
-from repro.core.rta import internal_precision
-from repro.core.select_best import select_best
-from repro.cost.model import CostModel
 from repro.exceptions import OptimizerError
-from repro.query.join_graph import JoinGraph
-from repro.query.query import Query
-
-#: Algorithms whose single-pass DP supports intra-query sharding. The
-#: IRA iterates (each iteration re-runs the RTA machinery at a finer
-#: precision), so it parallelizes across requests, not within one.
-SHARDABLE_ALGORITHMS = ("exa", "rta")
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """One picklable unit of intra-query work (one split range).
-
-    ``deadline_epoch`` is an absolute wall-clock (``time.time``)
-    deadline shared by *all* shards of one request — whether shards run
-    in parallel across processes or sequentially in one, the request's
-    total budget is one budget, not one per shard.
-    """
-
-    query: Query
-    preferences: Preferences
-    algorithm: str
-    alpha: float
-    config: OptimizerConfig
-    strict: bool
-    split_start: int
-    split_stop: int
-    deadline_epoch: float | None = None
-
-
-@dataclass(frozen=True)
-class ShardOutcome:
-    """What one shard reports back: its range's accepted entries."""
-
-    entries: tuple
-    plans_considered: int
-    memory_kb: float
-    timed_out: bool
-    deadline_hit: bool
-    candidates_vectorized: int = 0
-    phase_ms: dict = field(default_factory=dict, compare=False)
-
-
-class _ShardDPRun(DPRun):
-    """DP run that reports the full-mask entries of one split range.
-
-    Processes top-level splits ``[0, split_stop)`` (prefix included, to
-    reconstruct the sequential pruning state) and records the entries
-    first accepted at split positions ``>= split_start``.
-    """
-
-    def __init__(self, *args, split_start: int = 0,
-                 split_stop: int | None = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._split_start = split_start
-        self._split_stop = split_stop
-        self.shard_entries: list = []
-
-    def run(self):
-        graph = self.graph
-        masks = graph.connected_subsets()
-        full = graph.full_mask
-        self.counters.table_sets_total = len(masks)
-        sets: dict[int, PlanSet] = {}
-        for mask in masks:
-            fallback_before = self._timed_out
-            if mask.bit_count() == 1:
-                plan_set = self._build_singleton(mask)
-                if mask == full and self._split_start == 0:
-                    # Degenerate single-table query: all "splits" belong
-                    # to the first shard.
-                    self.shard_entries = list(plan_set.entries)
-            elif mask == full:
-                plan_set = self._build_sharded_top(mask, sets)
-            else:
-                plan_set = self._build_composite(mask, sets)
-            sets[mask] = plan_set
-            self.counters.complete_table_set(
-                mask, len(plan_set),
-                fallback=fallback_before or self._timed_out,
-            )
-        self.counters.timed_out = self._timed_out
-        return sets
-
-    def _build_sharded_top(self, mask: int, sets: dict[int, PlanSet]):
-        plan_set = self._new_set()
-        splits = list(self.graph.splits(mask))
-        start = self._split_start
-        stop = len(splits) if self._split_stop is None else self._split_stop
-        self._combine_splits(plan_set, splits[:start], sets)
-        # Hold strong references to the prefix entries: identity is the
-        # membership test, and a discarded entry's id could otherwise be
-        # recycled for a new entry tuple.
-        prefix_entries = list(plan_set.entries)
-        prefix_ids = {id(entry) for entry in prefix_entries}
-        self._combine_splits(plan_set, splits[start:stop], sets)
-        self.shard_entries = [
-            entry for entry in plan_set.entries
-            if id(entry) not in prefix_ids
-        ]
-        return plan_set
-
-
-# ----------------------------------------------------------------------
-# Shard execution and deterministic merge
-# ----------------------------------------------------------------------
-def _run_params(task: ShardTask) -> dict:
-    """DPRun keyword arguments shared by every shard of one query."""
-    spec = get_algorithm(task.algorithm)
-    preferences = spec.prepare_preferences(task.preferences)
-    if task.algorithm == "rta":
-        alpha_internal = internal_precision(
-            task.alpha, task.query.num_tables
-        )
-    else:
-        alpha_internal = 1.0
-    return dict(
-        preferences=preferences,
-        alpha_internal=alpha_internal,
-        extra_indices=(
-            strict_closure(preferences.indices) if task.strict else ()
-        ),
-        include_rows=task.strict,
-    )
-
-
-def execute_shard(task: ShardTask, cost_model: CostModel) -> ShardOutcome:
-    """Run one shard of a query's top-level split space.
-
-    The task's wall-clock deadline is converted to this process's
-    ``perf_counter`` scale at entry; a shard that starts after the
-    deadline (e.g. queued behind its siblings on a busy pool, or run
-    sequentially in-process) degrades to the enumerator's single-plan
-    fallback immediately and reports the miss.
-    """
-    import time as _time
-
-    params = _run_params(task)
-    preferences = params["preferences"]
-    deadline = (
-        _time.perf_counter() + (task.deadline_epoch - _time.time())
-        if task.deadline_epoch is not None
-        else None
-    )
-    counters = Counters()
-    run = _ShardDPRun(
-        query=task.query,
-        cost_model=cost_model,
-        config=task.config,
-        indices=preferences.indices,
-        weights=preferences.weights,
-        alpha_internal=params["alpha_internal"],
-        deadline=deadline,
-        counters=counters,
-        extra_indices=params["extra_indices"],
-        include_rows=params["include_rows"],
-        split_start=task.split_start,
-        split_stop=task.split_stop,
-    )
-    run.run()
-    return ShardOutcome(
-        entries=tuple(run.shard_entries),
-        plans_considered=counters.plans_considered,
-        memory_kb=counters.memory_kb,
-        timed_out=counters.timed_out,
-        deadline_hit=counters.timed_out or deadline_exceeded(deadline),
-        candidates_vectorized=counters.candidates_vectorized,
-        phase_ms=counters.phase_ms() if task.config.phase_timers else {},
-    )
-
-
-def merge_shard_outcomes(
-    task: ShardTask,
-    outcomes: Sequence[ShardOutcome],
-    elapsed_ms: float,
-) -> OptimizationResult:
-    """Deterministically merge shard reports into one result.
-
-    Replays the shard entries in shard order through a pruning structure
-    with the shards' precision; cross-shard dominance is resolved here
-    exactly like the sequential run resolves cross-range dominance.
-    """
-    params = _run_params(task)
-    preferences = params["preferences"]
-    exact_suffix = 1 if params["include_rows"] else 0
-    merged = PlanSet(
-        alpha=params["alpha_internal"], exact_suffix=exact_suffix
-    )
-    for outcome in outcomes:
-        for cost, plan in outcome.entries:
-            merged.insert(cost, plan)
-    width = len(preferences.indices)
-    final_set = strip_entries(merged.entries, width)
-    best = select_best(final_set, preferences)
-    timed_out = any(outcome.timed_out for outcome in outcomes)
-    phase_totals: dict[str, float] = {}
-    for outcome in outcomes:
-        for phase, spent_ms in outcome.phase_ms.items():
-            phase_totals[phase] = phase_totals.get(phase, 0.0) + spent_ms
-    return OptimizationResult(
-        algorithm=task.algorithm,
-        query_name=task.query.name,
-        preferences=preferences,
-        plan=best[1] if best else None,
-        plan_cost=best[0] if best else None,
-        frontier=tuple(final_set),
-        optimization_time_ms=elapsed_ms,
-        memory_kb=max(outcome.memory_kb for outcome in outcomes),
-        pareto_last_complete=0 if timed_out else len(final_set),
-        plans_considered=sum(o.plans_considered for o in outcomes),
-        candidates_vectorized=sum(
-            o.candidates_vectorized for o in outcomes
-        ),
-        timed_out=timed_out,
-        alpha=task.alpha if task.algorithm == "rta" else 1.0,
-        deadline_hit=any(outcome.deadline_hit for outcome in outcomes),
-        phase_ms=phase_totals,
-    )
-
-
-# ----------------------------------------------------------------------
-# The planner
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardPlanner:
-    """Decides how work is partitioned across ``num_shards`` workers."""
+    """Decides how a batch is partitioned across ``num_shards`` workers."""
 
     num_shards: int = 2
 
@@ -306,7 +33,6 @@ class ShardPlanner:
                 f"num_shards must be >= 1, got {self.num_shards}"
             )
 
-    # -- batch sharding ------------------------------------------------
     def shard_of(self, fingerprint: str) -> int:
         """Deterministic shard index for one request fingerprint."""
         return int(fingerprint[:16], 16) % self.num_shards
@@ -327,101 +53,3 @@ class ShardPlanner:
             fingerprint = request.fingerprint(default_config)
             groups[self.shard_of(fingerprint)].append(position)
         return [group for group in groups if group]
-
-    # -- intra-query sharding ------------------------------------------
-    def split_ranges(self, num_splits: int) -> list[tuple[int, int]]:
-        """Contiguous, near-even ranges over the top-level split list."""
-        if num_splits <= 0:
-            return [(0, 0)]
-        shards = min(self.num_shards, num_splits)
-        bounds = [
-            round(index * num_splits / shards) for index in range(shards + 1)
-        ]
-        return [
-            (start, stop)
-            for start, stop in zip(bounds, bounds[1:])
-            if stop > start
-        ]
-
-    def plan_query_shards(
-        self,
-        query: Query,
-        preferences: Preferences,
-        algorithm: str,
-        alpha: float,
-        config: OptimizerConfig,
-        *,
-        strict: bool = False,
-        deadline_epoch: float | None = None,
-    ) -> list[ShardTask]:
-        """Shard one query block's top-level split space into tasks."""
-        if algorithm not in SHARDABLE_ALGORITHMS:
-            raise OptimizerError(
-                f"intra-query sharding supports {SHARDABLE_ALGORITHMS}, "
-                f"got {algorithm!r} (the IRA iterates and parallelizes "
-                f"across requests instead)"
-            )
-        graph = JoinGraph(query)
-        num_splits = (
-            len(list(graph.splits(graph.full_mask)))
-            if query.num_tables > 1
-            else 1
-        )
-        return [
-            ShardTask(
-                query=query,
-                preferences=preferences,
-                algorithm=algorithm,
-                alpha=alpha,
-                config=config,
-                strict=strict,
-                split_start=start,
-                split_stop=stop,
-                deadline_epoch=deadline_epoch,
-            )
-            for start, stop in self.split_ranges(num_splits)
-        ]
-
-
-def sharded_moqo(
-    query: Query,
-    cost_model: CostModel,
-    preferences: Preferences,
-    alpha: float,
-    config: OptimizerConfig,
-    *,
-    algorithm: str = "rta",
-    num_shards: int = 2,
-    strict: bool = False,
-    budget_seconds: float | None = None,
-    run_tasks: Callable[[list[ShardTask]], list[ShardOutcome]] | None = None,
-) -> OptimizationResult:
-    """Optimize one query block with a sharded EXA/RTA.
-
-    ``run_tasks`` executes the shard tasks — in-process sequentially by
-    default (useful for determinism tests), or fanned out over a
-    :class:`~repro.parallel.pool.WorkerPool` via
-    :meth:`~repro.parallel.pool.WorkerPool.execute_shards`. The merged
-    frontier is bit-for-bit the single-process frontier either way.
-
-    ``budget_seconds`` is one total budget for the whole request,
-    converted to a single absolute deadline here and shared by every
-    shard — sequential shard execution does not multiply it.
-    """
-    import time as _time
-
-    start = _time.perf_counter()
-    deadline_epoch = (
-        _time.time() + budget_seconds if budget_seconds is not None else None
-    )
-    planner = ShardPlanner(num_shards=num_shards)
-    tasks = planner.plan_query_shards(
-        query, preferences, algorithm, alpha, config,
-        strict=strict, deadline_epoch=deadline_epoch,
-    )
-    if run_tasks is None:
-        outcomes = [execute_shard(task, cost_model) for task in tasks]
-    else:
-        outcomes = list(run_tasks(tasks))
-    elapsed_ms = (_time.perf_counter() - start) * 1000.0
-    return merge_shard_outcomes(tasks[0], outcomes, elapsed_ms)

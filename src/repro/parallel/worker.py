@@ -29,7 +29,6 @@ from repro.core.result import OptimizationResult
 from repro.cost.postgres_params import CostParams
 from repro.obs.trace import Span, TraceContext, Tracer
 from repro.parallel.deadline import DeadlineScheduler
-from repro.parallel.sharding import ShardOutcome, ShardTask, execute_shard
 from repro.resilience.chaos import Fault, apply_fault
 
 
@@ -174,8 +173,3 @@ def execute_request_group(
         execute_request(request, epoch, trace_ctx)
         for request, epoch in zip(requests, deadline_epochs)
     ]
-
-
-def execute_shard_task(task: ShardTask) -> ShardOutcome:
-    """Run one intra-query shard against this worker's cost model."""
-    return execute_shard(task, _service().optimizer.cost_model)

@@ -19,6 +19,9 @@ connection resets, timeouts and mid-response drops with jittered
 exponential backoff, and honors the server's ``Retry-After`` header on
 a 429 shed. ``POST /optimize`` is idempotent (same fingerprint → same
 plan, coalesced server-side), which is what makes blind re-send safe.
+Once the retry budget is spent (immediately, without a policy), a
+transport failure always surfaces as :class:`ProtocolError` chained
+from the last underlying error, whichever way the connection died.
 """
 
 from __future__ import annotations
@@ -113,6 +116,19 @@ def _retry_after_delay(
     return seconds if seconds >= 0.0 else fallback
 
 
+def _retries_spent(failures: int, error: BaseException) -> ProtocolError:
+    """The error an optimize call raises once a transport failure is final.
+
+    A reset can surface as ``ConnectionResetError`` (RST during the
+    read), an empty status line (EOF) or a timeout depending on timing;
+    callers see one exception type either way, with the real cause
+    chained as ``__cause__``.
+    """
+    return ProtocolError(
+        f"optimize request failed after {failures} attempt(s): {error!r}"
+    )
+
+
 # ----------------------------------------------------------------------
 # Blocking client
 # ----------------------------------------------------------------------
@@ -178,9 +194,11 @@ def post_optimize(
 
     With ``retry`` set, connection failures re-send with jittered
     backoff and a 429 shed waits out the server's ``Retry-After``
-    before re-sending; once attempts (or the policy's patience) run
-    out, the last failure propagates — the final 429 envelope for a
-    shed, the last exception for a connection failure.
+    before re-sending. Once attempts (or the policy's patience) run
+    out, a shed returns the final 429 envelope, and a connection
+    failure (reset, timeout, mid-response drop) raises
+    :class:`ProtocolError` chained ``from`` the last transport error.
+    Without ``retry`` the first connection failure is final.
     """
     failures = 0
     while True:
@@ -189,7 +207,7 @@ def post_optimize(
                 host, port, "POST", "/optimize", request_payload,
                 timeout=timeout, headers=None,
             )
-        except _RETRYABLE_EXCEPTIONS:
+        except _RETRYABLE_EXCEPTIONS as error:
             failures += 1
             delay = (
                 retry.next_delay(failures, rng=rng)
@@ -197,7 +215,7 @@ def post_optimize(
                 else None
             )
             if delay is None:
-                raise
+                raise _retries_spent(failures, error) from error
             time.sleep(delay)
             continue
         if status == 429 and retry is not None:
@@ -315,9 +333,11 @@ class AsyncHttpClient:
     ) -> tuple[ServerResponse, bytes]:
         """POST one optimize request; returns (envelope, raw body).
 
-        Same retry semantics as :func:`post_optimize`; a connection
-        failure additionally tears the keep-alive connection down so
-        the next attempt reconnects fresh.
+        Same retry semantics as :func:`post_optimize`: once the budget
+        is spent, a connection failure raises :class:`ProtocolError`
+        chained ``from`` the last transport error. A connection failure
+        additionally tears the keep-alive connection down so the next
+        attempt (or call) reconnects fresh.
         """
         failures = 0
         while True:
@@ -325,7 +345,7 @@ class AsyncHttpClient:
                 status, response_headers, body = await self._exchange(
                     "POST", "/optimize", request_payload
                 )
-            except _RETRYABLE_EXCEPTIONS:
+            except _RETRYABLE_EXCEPTIONS as error:
                 await self.close()
                 failures += 1
                 delay = (
@@ -334,7 +354,7 @@ class AsyncHttpClient:
                     else None
                 )
                 if delay is None:
-                    raise
+                    raise _retries_spent(failures, error) from error
                 await asyncio.sleep(delay)
                 continue
             if status == 429 and retry is not None:

@@ -255,19 +255,6 @@ class TestSchedulerServiceIntegration:
         service.submit(request)
         assert service.metrics.snapshot()["cache_hits"] == 1
 
-    def test_sharded_run_shares_one_budget(self, schema, preferences):
-        """Sequential shard execution must not multiply the deadline."""
-        from repro.cost.model import CostModel
-        from repro.parallel.sharding import sharded_moqo
-
-        result = sharded_moqo(
-            make_chain_query(3), CostModel(schema), preferences,
-            1.5, TINY_CONFIG, algorithm="rta", num_shards=3,
-            budget_seconds=1e-9,
-        )
-        assert result.deadline_hit
-        assert result.plan is not None  # fallback, not a failure
-
     def test_near_deadline_batch_reroutes(self, schema, preferences):
         executed = []
         service = OptimizerService(

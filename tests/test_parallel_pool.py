@@ -103,20 +103,6 @@ class TestProcessBackend:
         assert results[0].plan_cost == results[2].plan_cost
         assert results[1].plan_cost == results[4].plan_cost
 
-    def test_sharded_submit_over_pool(self, service):
-        request = make_request(algorithm="exa", num_tables=3,
-                               tags=("sharded",))
-        inline = OptimizerService(
-            service.schema, config=TINY_CONFIG, backend="inline",
-            cache_size=0,
-        ).submit(request)
-        service.cache.clear()  # force real sharded execution
-        sharded = service.submit_sharded(request)
-        assert [c for c, _ in sharded.frontier] == [
-            c for c, _ in inline.frontier
-        ]
-        assert sharded.plan_cost == inline.plan_cost
-
     def test_worker_cache_dedups_budgeted_repeats(self, service):
         """Fingerprint sharding + scheduler: repeats still hit the
         worker cache because it keys on the original fingerprint, not

@@ -19,7 +19,6 @@ from repro.core.preferences import Preferences
 from repro.core.request import OptimizationRequest
 from repro.cost.objectives import Objective
 from repro.parallel.deadline import DeadlineScheduler
-from repro.parallel.sharding import ShardOutcome, ShardTask
 from repro.parallel.worker import WorkerSetup
 from tests.conftest import TINY_CONFIG, make_chain_query, make_small_schema
 
@@ -106,30 +105,8 @@ class TestPickleRoundtrip:
             t.name for t in schema.tables
         )
 
-    def test_parallel_payloads(self, preferences, result):
+    def test_parallel_payloads(self):
         """The pool's own message types survive the trip too."""
-        task = ShardTask(
-            query=make_chain_query(3),
-            preferences=preferences,
-            algorithm="rta",
-            alpha=1.5,
-            config=TINY_CONFIG,
-            strict=False,
-            split_start=0,
-            split_stop=2,
-        )
-        assert roundtrip(task) == task
-        outcome = ShardOutcome(
-            entries=tuple(result.frontier),
-            plans_considered=10,
-            memory_kb=64.0,
-            timed_out=False,
-            deadline_hit=False,
-        )
-        copy = roundtrip(outcome)
-        assert [c for c, _ in copy.entries] == [
-            c for c, _ in outcome.entries
-        ]
         setup = WorkerSetup(
             schema=make_small_schema(),
             config=TINY_CONFIG,

@@ -109,11 +109,12 @@ def test_strict_exa_matches_brute_force_on_random_instances(instance):
     """Strict-mode EXA is exactly optimal on arbitrary instances.
 
     Default-mode EXA reproduces the paper's pruning, whose optimality
-    breaks when sampling makes cardinality plan-dependent (DESIGN.md
-    4a); strict mode is the provably sound variant, so it is the one
-    validated against brute force here. (Default mode is exercised on
-    deterministic fixtures in tests/test_exa.py and its documented gap
-    in tests/test_strict_mode.py.)
+    breaks when sampling makes cardinality plan-dependent (see
+    ``repro.core.dp.strict_closure``); strict mode is the provably sound
+    variant, so it is the one validated against brute force here.
+    (Default mode is exercised on deterministic fixtures in
+    tests/test_exa.py and its documented gap in
+    tests/test_strict_mode.py.)
     """
     schema, query, weights = instance
     model = CostModel(schema)

@@ -112,15 +112,3 @@ class TestRegistration:
                 spec.validate(BOUNDED_2D)
         finally:
             unregister_algorithm("strict_bounds_algo")
-
-
-class TestRemovedTuple:
-    def test_algorithms_tuple_import_fails_with_clear_message(self):
-        with pytest.raises(ImportError, match="available_algorithms"):
-            from repro.core.optimizer import ALGORITHMS  # noqa: F401
-
-    def test_core_package_reexport_also_removed(self):
-        import repro.core
-
-        with pytest.raises(ImportError, match="available_algorithms"):
-            repro.core.ALGORITHMS

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 import threading
 import time
 
@@ -97,6 +98,20 @@ def reset_script(conn: socket.socket) -> None:
     conn.close()
 
 
+def rst_script(conn: socket.socket) -> None:
+    """Abort the connection with a TCP RST instead of an orderly FIN.
+
+    ``SO_LINGER`` with a zero timeout makes ``close`` discard the socket
+    and send RST, so the client's read fails with ``ConnectionResetError``
+    rather than seeing EOF — the timing-independent form of the reset
+    that :func:`reset_script` only sometimes produces.
+    """
+    conn.setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+    )
+    conn.close()
+
+
 def respond_script(payload: bytes):
     def script(conn: socket.socket) -> None:
         conn.settimeout(5.0)
@@ -150,6 +165,12 @@ class ScriptedServer:
         return self
 
     def __exit__(self, *exc_info) -> None:
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so unused scripts cost no join wait.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:
@@ -193,6 +214,42 @@ class TestClientRetries:
                         max_delay_s=0.002,
                     ),
                 )
+
+    def test_rst_after_retries_raises_protocol_error(self):
+        """A hard reset on every attempt still surfaces as ProtocolError,
+        with the transport error chained as its cause."""
+        with ScriptedServer([rst_script] * 2) as server:
+            host, port = server.address
+            with pytest.raises(ProtocolError) as caught:
+                post_optimize(
+                    host, port, {"x": 1}, timeout=5.0,
+                    retry=RetryPolicy(
+                        max_attempts=2, base_delay_s=0.001,
+                        max_delay_s=0.002,
+                    ),
+                )
+        assert isinstance(caught.value.__cause__, ConnectionError)
+
+    def test_async_rst_after_retries_raises_protocol_error(self):
+        async def scenario():
+            with ScriptedServer([rst_script] * 2) as server:
+                # No eager connect: a reset can land during the connect
+                # itself, and only optimize() counts it as an attempt.
+                client = AsyncHttpClient(*server.address)
+                try:
+                    await client.optimize(
+                        {"x": 1},
+                        retry=RetryPolicy(
+                            max_attempts=2, base_delay_s=0.001,
+                            max_delay_s=0.002,
+                        ),
+                    )
+                finally:
+                    await client.close()
+
+        with pytest.raises(ProtocolError) as caught:
+            asyncio.run(scenario())
+        assert isinstance(caught.value.__cause__, ConnectionError)
 
     def test_429_honors_retry_after_header(self):
         scripts = [

@@ -1,42 +1,23 @@
-"""Shard-merge correctness: sharded frontiers equal unsharded ones.
+"""Batch sharding: fingerprint-equal requests share one shard.
 
-The intra-query sharding of :mod:`repro.parallel.sharding` promises a
-*bit-for-bit* reproduction of the single-process EXA/RTA result — the
-property-style tests here check exact (no-tolerance) equality of
-frontier cost vectors, frontier order, and the selected plan across
-random join graphs, shard counts, precisions and strict mode.
+:meth:`repro.parallel.sharding.ShardPlanner.partition_requests` groups a
+batch by request fingerprint so repeats execute on one worker and hit
+its plan cache; these tests pin the partition down independently of the
+process pool.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.config import OptimizerConfig
-from repro.core.exa import exact_moqo
-from repro.core.preferences import Preferences
-from repro.core.rta import rta
-from repro.cost.model import CostModel
-from repro.cost.objectives import ALL_OBJECTIVES
-from repro.exceptions import OptimizerError
-from repro.parallel.sharding import (
-    ShardPlanner,
-    execute_shard,
-    merge_shard_outcomes,
-    sharded_moqo,
-)
-from repro.query.join_graph import JoinGraph
-from repro.query.synthetic import GraphShape, synthetic_query, synthetic_schema
-
 import random
 
-#: Small operator space keeps the random-graph sweep fast while still
-#: exercising every operator family.
-CONFIG = OptimizerConfig(dop_values=(1, 2), sampling_rates=(0.02,))
+import pytest
 
-
-@pytest.fixture(scope="module")
-def cost_model():
-    return CostModel(synthetic_schema(num_tables=6, seed=11))
+from repro.core.preferences import Preferences
+from repro.core.request import OptimizationRequest
+from repro.cost.objectives import ALL_OBJECTIVES
+from repro.exceptions import OptimizerError
+from repro.parallel.sharding import ShardPlanner
+from repro.query.synthetic import GraphShape, synthetic_query
 
 
 def random_preferences(rng: random.Random, num_objectives: int) -> Preferences:
@@ -48,129 +29,12 @@ def random_preferences(rng: random.Random, num_objectives: int) -> Preferences:
     return Preferences(objectives=objectives, weights=weights)
 
 
-def frontier_costs(result):
-    return [cost for cost, _ in result.frontier]
-
-
-class TestShardedEqualsUnsharded:
-    @pytest.mark.parametrize("shape", list(GraphShape))
-    @pytest.mark.parametrize("num_shards", [2, 3, 7])
-    def test_rta_random_graphs(self, cost_model, shape, num_shards):
-        rng = random.Random(hash((shape.value, num_shards)) & 0xFFFF)
-        for trial in range(3):
-            num_tables = rng.randint(2, 5)
-            query = synthetic_query(shape, num_tables, seed=trial)
-            preferences = random_preferences(rng, rng.randint(2, 4))
-            alpha = rng.choice([1.2, 1.5, 2.0])
-            base = rta(query, cost_model, preferences, alpha, CONFIG)
-            sharded = sharded_moqo(
-                query, cost_model, preferences, alpha, CONFIG,
-                algorithm="rta", num_shards=num_shards,
-            )
-            assert frontier_costs(sharded) == frontier_costs(base)
-            assert sharded.plan_cost == base.plan_cost
-            assert sharded.plan.describe() == base.plan.describe()
-
-    @pytest.mark.parametrize("shape", [GraphShape.CHAIN, GraphShape.STAR,
-                                       GraphShape.CLIQUE])
-    def test_exa_random_graphs(self, cost_model, shape):
-        rng = random.Random(hash(shape.value) & 0xFFFF)
-        for trial in range(3):
-            num_tables = rng.randint(2, 4)
-            query = synthetic_query(shape, num_tables, seed=trial)
-            preferences = random_preferences(rng, rng.randint(2, 3))
-            base = exact_moqo(query, cost_model, preferences, CONFIG)
-            sharded = sharded_moqo(
-                query, cost_model, preferences, 1.0, CONFIG,
-                algorithm="exa", num_shards=rng.randint(2, 6),
-            )
-            assert frontier_costs(sharded) == frontier_costs(base)
-            assert sharded.plan_cost == base.plan_cost
-
-    def test_strict_mode(self, cost_model):
-        rng = random.Random(5)
-        query = synthetic_query(GraphShape.CYCLE, 4, seed=2)
-        preferences = random_preferences(rng, 3)
-        base = rta(query, cost_model, preferences, 1.5, CONFIG, strict=True)
-        sharded = sharded_moqo(
-            query, cost_model, preferences, 1.5, CONFIG,
-            algorithm="rta", num_shards=3, strict=True,
-        )
-        assert frontier_costs(sharded) == frontier_costs(base)
-
-    def test_more_shards_than_splits(self, cost_model):
-        """Shard counts beyond the split count degrade gracefully."""
-        query = synthetic_query(GraphShape.CHAIN, 2, seed=0)
-        preferences = random_preferences(random.Random(1), 2)
-        base = rta(query, cost_model, preferences, 1.5, CONFIG)
-        sharded = sharded_moqo(
-            query, cost_model, preferences, 1.5, CONFIG,
-            algorithm="rta", num_shards=16,
-        )
-        assert frontier_costs(sharded) == frontier_costs(base)
-
-    def test_single_table_query(self, cost_model):
-        query = synthetic_query(GraphShape.CHAIN, 1, seed=0)
-        preferences = random_preferences(random.Random(2), 2)
-        base = rta(query, cost_model, preferences, 1.5, CONFIG)
-        sharded = sharded_moqo(
-            query, cost_model, preferences, 1.5, CONFIG,
-            algorithm="rta", num_shards=3,
-        )
-        assert frontier_costs(sharded) == frontier_costs(base)
-
-    def test_shard_outcomes_partition_the_frontier_work(self, cost_model):
-        """Every shard reports only entries from its own split range."""
-        query = synthetic_query(GraphShape.CLIQUE, 4, seed=3)
-        preferences = random_preferences(random.Random(7), 3)
-        planner = ShardPlanner(num_shards=3)
-        tasks = planner.plan_query_shards(
-            query, preferences, "rta", 1.5, CONFIG
-        )
-        graph = JoinGraph(query)
-        num_splits = len(list(graph.splits(graph.full_mask)))
-        ranges = [(task.split_start, task.split_stop) for task in tasks]
-        assert ranges[0][0] == 0
-        assert ranges[-1][1] == num_splits
-        for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-            assert stop == start  # contiguous, no gaps and no overlap
-        outcomes = [execute_shard(task, cost_model) for task in tasks]
-        merged = merge_shard_outcomes(tasks[0], outcomes, elapsed_ms=0.0)
-        base = rta(query, cost_model, preferences, 1.5, CONFIG)
-        assert frontier_costs(merged) == frontier_costs(base)
-        # The merge may drop cross-shard-dominated entries but never
-        # invent ones no shard reported.
-        reported = sum(len(outcome.entries) for outcome in outcomes)
-        assert len(merged.frontier) <= reported
-
-
 class TestShardPlanner:
-    def test_split_ranges_cover_exactly(self):
-        planner = ShardPlanner(num_shards=4)
-        ranges = planner.split_ranges(10)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 10
-        covered = sum(stop - start for start, stop in ranges)
-        assert covered == 10
-
-    def test_split_ranges_degenerate(self):
-        assert ShardPlanner(num_shards=5).split_ranges(2) == [(0, 1), (1, 2)]
-        assert ShardPlanner(num_shards=3).split_ranges(0) == [(0, 0)]
-
     def test_rejects_bad_shard_count(self):
         with pytest.raises(OptimizerError):
             ShardPlanner(num_shards=0)
 
-    def test_unshardable_algorithm_rejected(self, cost_model):
-        query = synthetic_query(GraphShape.CHAIN, 3, seed=0)
-        preferences = random_preferences(random.Random(3), 2)
-        with pytest.raises(OptimizerError):
-            ShardPlanner(num_shards=2).plan_query_shards(
-                query, preferences, "ira", 1.5, CONFIG
-            )
-
-    def test_partition_requests_by_fingerprint(self, cost_model):
-        from repro.core.request import OptimizationRequest
-
+    def test_partition_requests_by_fingerprint(self):
         rng = random.Random(9)
         query_a = synthetic_query(GraphShape.CHAIN, 3, seed=1)
         query_b = synthetic_query(GraphShape.STAR, 3, seed=1)

@@ -1,9 +1,9 @@
 """Strict-mode pruning: guarantees for non-closed objective subsets.
 
-Reproduction finding (DESIGN.md section 4a): the paper's cost-dominance
-pruning assumes the recursive cost formulas only read the *selected*
-objectives of the sub-plans. Two dependencies break that once the
-paper's own plan-space extensions are in place:
+Reproduction finding (see ``repro.core.dp.strict_closure``): the
+paper's cost-dominance pruning assumes the recursive cost formulas only
+read the *selected* objectives of the sub-plans. Two dependencies break
+that once the paper's own plan-space extensions are in place:
 
 * startup time reads the sub-plans' **total time** (e.g. a hash join's
   startup includes building the inner);
