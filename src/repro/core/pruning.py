@@ -21,12 +21,20 @@ Performance: coverage checks run once per *candidate* plan (millions per
 query) against sets that can hold thousands of entries, so the cost
 vectors are mirrored in a capacity-doubling numpy matrix and coverage /
 discard are evaluated as vectorized comparisons. Small sets use a plain
-Python loop (numpy call overhead dominates below ~16 entries).
+Python loop (numpy call overhead dominates below ~16 entries). The
+block check behind :meth:`PlanSet.covers_many` eliminates rows: it
+compares the candidates with the stored entries slab by slab (64
+entries, then 128, 256, ...) and drops each candidate as soon as a slab
+covers it, so the later, larger slabs meet only the few rows still
+uncovered (on nine objectives most candidates are covered early). Small
+slab comparisons broadcast to one ``rows x entries x width`` boolean
+cube; larger ones AND the per-dimension ``rows x entries`` comparisons
+instead, which skips the slow reduction over the short trailing axis.
 
 Block operations (vectorized enumeration): the batched enumerator of
 :mod:`repro.core.dp` tests whole candidate blocks at once via
-:meth:`PlanSet.block_accept` — a matrix-vs-matrix coverage check against
-the stored entries (:meth:`PlanSet.covers_many`, with the same
+:meth:`PlanSet.block_accept` — a block coverage check against the
+stored entries (:meth:`PlanSet.covers_many`, with the same
 alpha/exact-suffix thresholds as :meth:`PlanSet.covers`) followed by an
 intra-block sweep that prunes candidates against earlier *accepted*
 candidates in deterministic enumeration order. **Determinism contract:**
@@ -63,9 +71,35 @@ _SMALL_SET = 16
 #: Initial capacity of the numpy cost matrix.
 _INITIAL_CAPACITY = 32
 
-#: Element budget per broadcast comparison in covers_many (bounds the
-#: temporary bool array to a few MB regardless of block size).
+#: Element budget (rows x entries x width) per slab comparison in
+#: covers_many (bounds the temporary bool arrays to a few MB regardless
+#: of block and set size).
 _BLOCK_CMP_BUDGET = 1 << 22
+
+#: Stored entries in the first slab of covers_many's row-eliminating
+#: scan; each later slab is twice the size of the one before.
+_FIRST_SLAB = 64
+
+#: Up to this many elements (rows x entries x width) a slab comparison
+#: builds the 3-D boolean cube in one broadcast; above it, ANDing the
+#: per-dimension (rows, entries) comparisons is faster. Measured
+#: crossover: ~400 elements at width 3, ~5000 at width 9.
+_CUBE_ELEMENTS = 1 << 10
+
+
+def _covered_rows(stored: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Rows of ``thresholds`` that some row of ``stored`` dominates."""
+    width = stored.shape[1]
+    if len(thresholds) * len(stored) * width <= _CUBE_ELEMENTS:
+        return (
+            (stored[None, :, :] <= thresholds[:, None, :])
+            .all(axis=2)
+            .any(axis=1)
+        )
+    hit = stored[:, 0] <= thresholds[:, 0, None]
+    for dimension in range(1, width):
+        hit &= stored[:, dimension] <= thresholds[:, dimension, None]
+    return hit.any(axis=1)
 
 
 class PlanSet:
@@ -213,23 +247,44 @@ class PlanSet:
     def _not_covered(
         self, candidates: np.ndarray, thresholds: np.ndarray
     ) -> np.ndarray:
-        count = len(candidates)
+        """Rows of ``thresholds`` that no stored entry dominates.
+
+        Row elimination: the stored entries are visited in slabs of
+        doubling size, and each slab is compared only against the rows
+        no earlier slab covered, so a block whose rows are mostly
+        covered by the first entries never meets the rest. The visiting
+        order cannot change an any-reduction, so the mask equals the
+        all-pairs check.
+        """
         size = self._size
-        keep = np.ones(count, dtype=bool)
-        if size == 0 or count == 0:
-            return keep
+        if size == 0 or len(candidates) == 0:
+            return np.ones(len(candidates), dtype=bool)
         matrix = self._costs[:size]
         width = candidates.shape[1]
-        chunk = max(1, _BLOCK_CMP_BUDGET // (size * width))
-        for start in range(0, count, chunk):
-            part = thresholds[start:start + chunk]
-            covered = (
-                (matrix[None, :, :] <= part[:, None, :])
-                .all(axis=2)
-                .any(axis=1)
-            )
-            keep[start:start + chunk] = ~covered
-        return keep
+        rows = thresholds
+        alive = None  # block positions of ``rows`` after the first slab
+        start = 0
+        slab = _FIRST_SLAB
+        while True:
+            step = min(slab, max(1, _BLOCK_CMP_BUDGET // (len(rows) * width)))
+            covered = _covered_rows(matrix[start:start + step], rows)
+            start += step
+            slab *= 2
+            if alive is None:
+                keep = ~covered
+                if start >= size:
+                    return keep
+                alive = np.flatnonzero(keep)
+                rows = rows[keep]
+            else:
+                keep[alive[covered]] = False
+                if start >= size:
+                    return keep
+                uncovered = ~covered
+                alive = alive[uncovered]
+                rows = rows[uncovered]
+            if len(alive) == 0:
+                return keep
 
     # ------------------------------------------------------------------
     # Internal storage

@@ -36,7 +36,13 @@ from repro import (
 )
 from repro.core.exa import exact_moqo
 from repro.core.ira import ira
-from repro.core.pruning import AggressivePlanSet, PlanSet, SingleBestPlanSet
+from repro.core.pruning import (
+    _BLOCK_CMP_BUDGET,
+    _FIRST_SLAB,
+    AggressivePlanSet,
+    PlanSet,
+    SingleBestPlanSet,
+)
 from repro.core.rta import rta
 from repro.core.selinger import selinger
 from repro.cost.model import CostModel
@@ -209,32 +215,115 @@ def test_tpch_equivalence_all_algorithms():
 # ----------------------------------------------------------------------
 # Block primitives
 # ----------------------------------------------------------------------
-def test_covers_many_matches_scalar_covers():
-    plan_set = PlanSet(alpha=1.5, exact_suffix=1)
-    rng = np.random.default_rng(7)
-    for cost in rng.uniform(0.1, 10.0, size=(40, 3)):
-        plan_set.insert(tuple(cost.tolist()), None)
-    candidates = rng.uniform(0.05, 12.0, size=(200, 3))
+def antichain(rng, size, width):
+    """``size`` distinct cost rows, pairwise incomparable.
+
+    Row ``k`` is ``0.75 * (k + 1)`` for a composition ``k`` of a fixed
+    integer sum, so no row dominates another and :meth:`force_insert`
+    keeps every one of them. The 0.75 grid keeps ``row / 1.5`` and
+    ``row / 1.5 * 1.5`` exact, which the threshold-tie rows rely on.
+    """
+    total = 100 if width == 3 else 40
+    rows = {}
+    while len(rows) < size:
+        cuts = np.sort(rng.choice(total + width - 1, width - 1, replace=False))
+        parts = np.diff(np.concatenate(([-1], cuts, [total + width - 1]))) - 1
+        rows.setdefault(tuple(parts.tolist()), None)
+    return 0.75 * (np.array(list(rows), dtype=float).reshape(size, width) + 1)
+
+
+def candidates_with_ties(rng, stored, count, alpha, exact_suffix):
+    """``count`` candidate rows; returns them and how many lead covered.
+
+    The leading rows are exact copies of stored rows and stored rows
+    raised by one grid step in one dimension, whose thresholds equal
+    the stored row in every other dimension: both are covered only
+    because ``<=`` holds on ties. Next come rows lowered by one step in
+    one dimension, which tie elsewhere but escape that stored row. The
+    rest shrink stored rows by random factors, and most escape.
+    """
+    width = stored.shape[1]
+    if not len(stored):
+        return rng.uniform(0.0, 80.0, size=(count, width)), 0
+    share = count // 16
+
+    def picked(rows):
+        return stored[rng.integers(len(stored), size=rows)].copy()
+
+    copies = picked(share)
+    raised = picked(share)
+    raised[np.arange(share), rng.integers(width, size=share)] += 0.75
+    lowered = picked(share)
+    lowered[np.arange(share), rng.integers(width, size=share)] -= 0.75
+    ties = np.concatenate((raised, lowered))
+    # Inverse of the threshold, so each tie row's threshold is exact.
+    ties[:, : width - exact_suffix] /= alpha
+    rest = count - 3 * share
+    shrunk = picked(rest) * rng.uniform(0.3, 1.0, size=(rest, width))
+    return np.concatenate((copies, ties, shrunk)), 2 * share
+
+
+COVER_CASES = [
+    pytest.param(size, width, alpha, exact_suffix, 300,
+                 id=f"n{size}-w{width}-a{alpha:g}-s{exact_suffix}")
+    for size in (0, 1, 16, 63, 64, 65, 200, 1500)
+    for width in (3, 9)
+    for alpha in (1.0, 1.5)
+    for exact_suffix in (0, 1)
+] + [
+    # Most of these 5000 rows stay uncovered past the first slab, so
+    # the second slab (rows x 128 x 9 elements) exceeds
+    # _BLOCK_CMP_BUDGET and is cut down to fit.
+    pytest.param(1500, 9, 1.5, 1, 5000, id="budget-split"),
+]
+
+
+@pytest.mark.parametrize(
+    "size, width, alpha, exact_suffix, count", COVER_CASES
+)
+def test_covers_many_matches_scalar_covers(
+    size, width, alpha, exact_suffix, count
+):
+    rng = np.random.default_rng(size * 100 + width)
+    plan_set = PlanSet(alpha=alpha, exact_suffix=exact_suffix)
+    stored = antichain(rng, size, width)
+    for position, cost in enumerate(stored):
+        plan_set.force_insert(tuple(cost.tolist()), position)
+    assert len(plan_set) == size
+    candidates, covered = candidates_with_ties(
+        rng, stored, count, alpha, exact_suffix
+    )
     keep = plan_set.covers_many(candidates)
+    assert not keep[:covered].any()
     for row, kept in zip(candidates, keep):
         assert kept == (not plan_set.covers(tuple(row.tolist())))
+    if count > 300:
+        assert keep.sum() * 2 * _FIRST_SLAB * width > _BLOCK_CMP_BUDGET
 
 
-def test_block_accept_replay_matches_sequential_inserts():
+@pytest.mark.parametrize("width, stored_rows", [(3, 0), (9, 400)])
+def test_block_accept_replay_matches_sequential_inserts(width, stored_rows):
     """block_accept + ordered force_insert == sequential insert loop."""
     rng = np.random.default_rng(11)
-    candidates = rng.uniform(0.1, 10.0, size=(300, 3))
+    stored = antichain(rng, stored_rows, width)
+    candidates = rng.uniform(0.1, 10.0, size=(300, width))
     # Duplicated rows exercise the intra-block sweep.
     candidates[150:] = candidates[:150] * rng.uniform(
-        0.9, 1.1, size=(150, 3)
+        0.9, 1.1, size=(150, width)
     )
 
     sequential = PlanSet(alpha=1.2)
+    batched = PlanSet(alpha=1.2)
+    for position, row in enumerate(stored):
+        sequential.force_insert(tuple(row.tolist()), -1 - position)
+        batched.force_insert(tuple(row.tolist()), -1 - position)
+    assert len(batched) == stored_rows
+
     for position, row in enumerate(candidates):
         sequential.insert(tuple(row.tolist()), position)
 
-    batched = PlanSet(alpha=1.2)
     keep = batched.block_accept(candidates)
+    assert 0 < keep.sum() < len(candidates)
     for position in np.nonzero(keep)[0]:
         batched.force_insert(
             tuple(candidates[position].tolist()), int(position)
