@@ -26,7 +26,20 @@ Objective semantics (vector layout in :mod:`repro.cost.objectives`):
   instead), index-nested-loop joins hold only a probe buffer. This
   reproduces the tradeoff of Figure 3 (weighting buffer space moves
   plans from hash joins to sort-merge / index-nested-loop joins).
-* ``TUPLE_LOSS`` — ``1 - (1 - a) * (1 - b)``.
+* ``TUPLE_LOSS`` — ``1 - (1 - a) * (1 - b)``, the loss of independent
+  samples, in one of two forms. When both input losses are below 1/2
+  it is computed as ``a + b - a * b``: there ``1 - (1 - x)`` would
+  round ``x`` to a multiple of ``2**-53``, so a loss of 3.05e-16
+  (1.375x 2.22e-16) would come out as 3.33e-16 (1.5x) and break the
+  PONO at alpha 1.375. Otherwise it is computed from the survival
+  product, as written. Sampling scans at the default rates (at most
+  0.05) produce losses of 0.95 and above, and there ``a + b - a * b``
+  would give one table set different last bits along different join
+  orders (0.9999749999999998 vs 0.9999750000000001), so exact pruning
+  would keep both plans; on a five-table chain query that grew the
+  EXA's Pareto set from 254 to 277 plans. Both forms give 0 for two
+  losses of 0, so plans built from sampling scans at rates up to 1/2
+  keep the survival form's cost bits.
 """
 
 from __future__ import annotations
@@ -275,7 +288,12 @@ class CostModel:
             p.energy_per_cpu_unit * local_cpu + p.energy_per_page * local_io
         ) * energy_factor
         energy = left[_ENERGY] + right[_ENERGY] + local_energy
-        loss = 1.0 - (1.0 - left[_LOSS]) * (1.0 - right[_LOSS])
+        a, b = left[_LOSS], right[_LOSS]
+        # Two forms of one formula; see TUPLE_LOSS in the module docstring.
+        if a < 0.5 and b < 0.5:
+            loss = a + b - a * b
+        else:
+            loss = 1.0 - (1.0 - a) * (1.0 - b)
         return io, cpu, disk, energy, loss
 
     def _hash_cost(self, spec, left, right, out_rows) -> tuple[float, ...]:
@@ -440,8 +458,14 @@ class CostModel:
             f"unsupported join method for block costing: {method}"
         )
 
-    def _accumulate_block(self, l, r, dop, local_cpu, local_io, spill_bytes):
-        """Batched :meth:`_accumulate`; ``l``/``r`` broadcast over cost rows."""
+    def _accumulate_block(self, l, r, dop, local_cpu, local_io, spill_bytes,
+                          small_loss):
+        """Batched :meth:`_accumulate`; ``l``/``r`` broadcast over cost rows.
+
+        ``small_loss`` says whether an operand loss may lie in (0, 1/2)
+        (:attr:`PlanBlock.small_loss`). Without one, every element takes
+        the survival form, as in the scalar path.
+        """
         p = self.params
         cpu_factor = 1.0 + p.parallel_cpu_overhead * (dop - 1)
         energy_factor = 1.0 + p.parallel_energy_overhead * (dop - 1)
@@ -452,7 +476,10 @@ class CostModel:
             p.energy_per_cpu_unit * local_cpu + p.energy_per_page * local_io
         ) * energy_factor
         energy = l[..., _ENERGY] + r[..., _ENERGY] + local_energy
-        loss = 1.0 - (1.0 - l[..., _LOSS]) * (1.0 - r[..., _LOSS])
+        a, b = l[..., _LOSS], r[..., _LOSS]
+        loss = 1.0 - (1.0 - a) * (1.0 - b)
+        if small_loss:
+            loss = np.where((a < 0.5) & (b < 0.5), a + b - a * b, loss)
         return io, cpu, disk, energy, loss
 
     @staticmethod
@@ -483,7 +510,8 @@ class CostModel:
         )
         local_cpu = build_cpu[None, :] + probe_cpu
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, 0.0, 0.0
+            l, r, dop, local_cpu, 0.0, 0.0,
+            outer.small_loss or inner.small_loss,
         )
         time = np.maximum(l[..., _TIME], r[..., _TIME]) + local_cpu / dop
         startup = np.maximum(
@@ -530,7 +558,8 @@ class CostModel:
         local_io = spill_pages_l[:, None] + spill_pages_r[None, :]
         spill_bytes = spill_bytes_l[:, None] + spill_bytes_r[None, :]
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, local_io, spill_bytes
+            l, r, dop, local_cpu, local_io, spill_bytes,
+            outer.small_loss or inner.small_loss,
         )
         side_l = outer.costs[:, _TIME] + (
             sort_cpu_l + p.seq_page_cost * spill_pages_l
@@ -569,7 +598,8 @@ class CostModel:
         outer_factor = 1.0 + np.maximum(outer.rows - 1.0, 0.0)
         local_io = spill_pages_row[None, :] * outer_factor[:, None]
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, local_io, spill_bytes_row[None, :]
+            l, r, dop, local_cpu, local_io, spill_bytes_row[None, :],
+            outer.small_loss or inner.small_loss,
         )
         time = (
             np.maximum(l[..., _TIME], r[..., _TIME])
@@ -621,7 +651,8 @@ class CostModel:
         )
         local_cpu = probe_cpu + p.cpu_tuple_cost * out_rows
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, probe_io, 0.0
+            l, r, dop, local_cpu, probe_io, 0.0,
+            outer.small_loss or 0.0 < probe.loss < 0.5,
         )
         time = l[..., _TIME] + (
             p.random_page_cost * probe_io + local_cpu

@@ -10,7 +10,8 @@ paper: total/startup time use Postgres-style formulas, the five resource
 objectives (IO, CPU, cores, disk, buffer) enable higher concurrency when
 minimized, energy follows Flach-style formulas (not always correlated with
 time because of parallelization overhead), and tuple loss follows
-``1 - (1 - a) * (1 - b)``.
+``1 - (1 - a) * (1 - b)`` (computed as ``a + b - a * b`` when both
+losses are below 1/2, see :mod:`repro.cost.model`).
 """
 
 from __future__ import annotations

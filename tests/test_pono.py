@@ -91,6 +91,8 @@ GENERIC_SPECS = [
 
 
 SUBNORMAL_DISK = (0.0, 0.0, 0.0, 0.0, 1.0, 5e-324, 0.0, 0.0, 0.0)
+NO_LOSS = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+ULP_LOSS = NO_LOSS[:8] + (2.220446049250313e-16,)
 
 
 @pytest.mark.parametrize("spec", GENERIC_SPECS, ids=lambda s: s.label)
@@ -100,6 +102,16 @@ SUBNORMAL_DISK = (0.0, 0.0, 0.0, 0.0, 1.0, 5e-324, 0.0, 0.0, 0.0)
     right_cost=SUBNORMAL_DISK,
     factor_seed=(2.0,) * 9,
     alpha=1.5,
+    rows=(1.0, 1.0),
+)
+# A tuple loss near ulp(1): the combined loss must keep its relative
+# precision, so the degraded right loss (3.05e-16) must not round up to
+# 1.5x the original.
+@example(
+    left_cost=NO_LOSS,
+    right_cost=ULP_LOSS,
+    factor_seed=(2.0,) * 9,
+    alpha=1.375,
     rows=(1.0, 1.0),
 )
 @given(

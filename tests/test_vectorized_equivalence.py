@@ -5,10 +5,11 @@ scalar per-candidate loop: same frontier cost tuples in the same order,
 same chosen plan, same counters. Hypothesis generates random join
 graphs (chain and star topologies, random statistics and selectivities)
 and the contract is checked for EXA, RTA and strict mode
-(``exact_suffix > 0``); further tests cover the block primitives on
-:class:`~repro.core.pruning.PlanSet` directly, the timeout fallback
-tripping mid-block, and the ablation variants that must *not* take the
-block path.
+(``exact_suffix > 0``); further tests cover the batched cost kernels
+on tuple losses below 1/2, which the default sampling rates never
+produce, the block primitives on :class:`~repro.core.pruning.PlanSet`
+directly, the timeout fallback tripping mid-block, and the ablation
+variants that must *not* take the block path.
 """
 
 from __future__ import annotations
@@ -46,7 +47,11 @@ from repro.core.pruning import (
 from repro.core.rta import rta
 from repro.core.selinger import selinger
 from repro.cost.model import CostModel
+from repro.plans.operators import JoinMethod, JoinSpec, ScanMethod, ScanSpec
+from repro.plans.plan import PlanBlock, ScanPlan
 from repro.query.tpch_queries import tpch_query
+
+from tests.conftest import make_chain_query, make_small_schema
 
 #: Compact operator space so each Hypothesis example stays fast while
 #: still exercising every join method, sampling, and DOP > 1.
@@ -210,6 +215,52 @@ def test_tpch_equivalence_all_algorithms():
     for vectorized, scalar in pairs:
         assert_bitwise_equal(vectorized, scalar)
     assert pairs[0][0].candidates_vectorized > 0
+
+
+#: Tuple losses on both sides of 1/2, where the cost model switches
+#: between ``a + b - a * b`` and ``1 - (1 - a) * (1 - b)``, including
+#: losses near ulp(1) where the two forms differ in their last bits.
+KERNEL_LOSSES = (0.0, 2.220446049250313e-16, 3.0531133177191805e-16,
+                 0.1, 0.3, 0.49, 0.5, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("method", [
+    JoinMethod.HASH, JoinMethod.MERGE, JoinMethod.NESTED_LOOP,
+    JoinMethod.INDEX_NESTED_LOOP,
+], ids=lambda m: m.name)
+def test_cost_kernels_match_scalar_on_small_losses(method):
+    """The batched kernels reproduce the scalar tuple-loss formula bit
+    for bit on every loss pair, not only on sampled losses."""
+    schema = make_small_schema()
+    model = CostModel(schema)
+    query = make_chain_query(2)
+    width = schema.table("users").tuple_width
+
+    def leaf(position, loss):
+        cost = (10.0 + position, 1.0, 5.0, 7.0, 1.0, 0.0, 64.0, 3.0, loss)
+        return ScanPlan("users", "users", ScanSpec(method=ScanMethod.SEQ),
+                        100.0 + position, width, cost, loss)
+
+    plans = [leaf(position, loss)
+             for position, loss in enumerate(KERNEL_LOSSES)]
+    block = PlanBlock(plans)
+    assert block.small_loss
+    spec = JoinSpec(method, dop=2)
+    if method is JoinMethod.INDEX_NESTED_LOOP:
+        probe = model.index_probe_plan(query, "orders", "orders_user_idx",
+                                       "user_id")
+        out_rows = block.rows * 0.5
+        batched = model.index_nl_cost_block(spec, block, probe, out_rows)
+        pairs = [((i,), plan, probe) for i, plan in enumerate(plans)]
+    else:
+        out_rows = block.rows[:, None] * block.rows[None, :] * 0.01
+        batched = model.join_cost_block(spec, block, block, out_rows)
+        pairs = [((i, j), left, right)
+                 for i, left in enumerate(plans)
+                 for j, right in enumerate(plans)]
+    for index, left, right in pairs:
+        scalar = model.join_cost(spec, left, right, float(out_rows[index]))
+        assert tuple(batched[index].tolist()) == scalar, index
 
 
 # ----------------------------------------------------------------------
