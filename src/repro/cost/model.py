@@ -458,14 +458,8 @@ class CostModel:
             f"unsupported join method for block costing: {method}"
         )
 
-    def _accumulate_block(self, l, r, dop, local_cpu, local_io, spill_bytes,
-                          small_loss):
-        """Batched :meth:`_accumulate`; ``l``/``r`` broadcast over cost rows.
-
-        ``small_loss`` says whether an operand loss may lie in (0, 1/2)
-        (:attr:`PlanBlock.small_loss`). Without one, every element takes
-        the survival form, as in the scalar path.
-        """
+    def _accumulate_block(self, l, r, dop, local_cpu, local_io, spill_bytes):
+        """Batched :meth:`_accumulate`; ``l``/``r`` broadcast over cost rows."""
         p = self.params
         cpu_factor = 1.0 + p.parallel_cpu_overhead * (dop - 1)
         energy_factor = 1.0 + p.parallel_energy_overhead * (dop - 1)
@@ -477,9 +471,9 @@ class CostModel:
         ) * energy_factor
         energy = l[..., _ENERGY] + r[..., _ENERGY] + local_energy
         a, b = l[..., _LOSS], r[..., _LOSS]
-        loss = 1.0 - (1.0 - a) * (1.0 - b)
-        if small_loss:
-            loss = np.where((a < 0.5) & (b < 0.5), a + b - a * b, loss)
+        loss = np.where(
+            (a < 0.5) & (b < 0.5), a + b - a * b, 1.0 - (1.0 - a) * (1.0 - b)
+        )
         return io, cpu, disk, energy, loss
 
     @staticmethod
@@ -510,8 +504,7 @@ class CostModel:
         )
         local_cpu = build_cpu[None, :] + probe_cpu
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, 0.0, 0.0,
-            outer.small_loss or inner.small_loss,
+            l, r, dop, local_cpu, 0.0, 0.0
         )
         time = np.maximum(l[..., _TIME], r[..., _TIME]) + local_cpu / dop
         startup = np.maximum(
@@ -558,8 +551,7 @@ class CostModel:
         local_io = spill_pages_l[:, None] + spill_pages_r[None, :]
         spill_bytes = spill_bytes_l[:, None] + spill_bytes_r[None, :]
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, local_io, spill_bytes,
-            outer.small_loss or inner.small_loss,
+            l, r, dop, local_cpu, local_io, spill_bytes
         )
         side_l = outer.costs[:, _TIME] + (
             sort_cpu_l + p.seq_page_cost * spill_pages_l
@@ -598,8 +590,7 @@ class CostModel:
         outer_factor = 1.0 + np.maximum(outer.rows - 1.0, 0.0)
         local_io = spill_pages_row[None, :] * outer_factor[:, None]
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, local_io, spill_bytes_row[None, :],
-            outer.small_loss or inner.small_loss,
+            l, r, dop, local_cpu, local_io, spill_bytes_row[None, :]
         )
         time = (
             np.maximum(l[..., _TIME], r[..., _TIME])
@@ -651,8 +642,7 @@ class CostModel:
         )
         local_cpu = probe_cpu + p.cpu_tuple_cost * out_rows
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, probe_io, 0.0,
-            outer.small_loss or 0.0 < probe.loss < 0.5,
+            l, r, dop, local_cpu, probe_io, 0.0
         )
         time = l[..., _TIME] + (
             p.random_page_cost * probe_io + local_cpu

@@ -196,16 +196,9 @@ class PlanBlock:
     one per candidate), which both removes a transcendental from the
     kernel and keeps the batched path bit-for-bit identical to the
     scalar one — ``np.log2`` is not guaranteed to round like libm.
-
-    ``small_loss`` records whether any plan's tuple loss lies in
-    (0, 1/2). Only such operands make the batched tuple-loss formula
-    choose its form per element (see ``TUPLE_LOSS`` in
-    :mod:`repro.cost.model`). A sampling scan at rate ``r <= 1/2`` has
-    loss ``1 - r >= 1/2``, so the kernel normally skips that pass.
     """
 
-    __slots__ = ("plans", "costs", "rows", "out_bytes", "log2_rows",
-                 "small_loss")
+    __slots__ = ("plans", "costs", "rows", "out_bytes", "log2_rows")
 
     def __init__(self, plans: Sequence["Plan"]) -> None:
         count = len(plans)
@@ -214,15 +207,12 @@ class PlanBlock:
         self.rows = np.empty(count)
         self.out_bytes = np.empty(count)
         self.log2_rows = np.empty(count)
-        self.small_loss = False
         for position, plan in enumerate(self.plans):
             self.costs[position] = plan.cost
             rows = plan.rows
             self.rows[position] = rows
             self.out_bytes[position] = rows * plan.width
             self.log2_rows[position] = math.log2(max(rows, 2.0))
-            if 0.0 < plan.loss < 0.5:
-                self.small_loss = True
 
     def __len__(self) -> int:
         return len(self.plans)
@@ -239,7 +229,6 @@ class PlanBlock:
         block.rows = self.rows[start:stop]
         block.out_bytes = self.out_bytes[start:stop]
         block.log2_rows = self.log2_rows[start:stop]
-        block.small_loss = self.small_loss
         return block
 
 

