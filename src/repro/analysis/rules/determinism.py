@@ -1,8 +1,9 @@
 """REP001: determinism — no ambient entropy in result-affecting code.
 
 The DP enumerator, pruning, and cost model promise bitwise-identical
-frontiers for identical inputs (the vectorized/scalar equivalence
-tests depend on it), and ``fingerprint()`` promises stable cache keys.
+frontiers for identical inputs (the tests comparing the batched
+enumerator with its per-candidate reference depend on it), and
+``fingerprint()`` promises stable cache keys.
 Three entropy sources break that silently:
 
 * wall-clock reads (``time.time``/``perf_counter``/``monotonic``) —

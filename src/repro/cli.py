@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import cProfile
-import dataclasses
 import pstats
 import sys
 
@@ -109,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict", action="store_true",
         help="strict pruning closure (guarantees for any objective subset)",
-    )
-    parser.add_argument(
-        "--no-vectorized", action="store_true",
-        help="disable the batched enumeration hot path (ablation/debug; "
-             "results are bit-for-bit identical either way)",
     )
     parser.add_argument(
         "--profile", nargs="?", const="-", default=None, metavar="PATH",
@@ -659,10 +653,6 @@ def main(argv: list[str] | None = None) -> int:
     config = FAST_CONFIG if args.fast else DEFAULT_CONFIG
     try:
         config = config.with_timeout(args.timeout)
-        if args.no_vectorized:
-            config = dataclasses.replace(
-                config, vectorized_enumeration=False
-            )
     except Exception as error:  # e.g. negative --timeout
         raise SystemExit(str(error))
     service = OptimizerService(

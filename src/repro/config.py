@@ -63,15 +63,10 @@ class OptimizerConfig:
     #: Wall-clock optimization timeout in seconds; ``None`` disables it.
     timeout_seconds: float | None = None
 
-    #: How many candidate plans to generate between timeout checks.
+    #: How many candidate plans to generate between timeout checks (the
+    #: enumerator checks after each costed block once this many have
+    #: accumulated).
     timeout_check_interval: int = 256
-
-    #: Whether plan enumeration runs the batched (numpy) hot path. The
-    #: vectorized path produces bit-for-bit identical plan sets to the
-    #: scalar per-candidate loop (a property-tested contract, see
-    #: :mod:`repro.core.dp`); the flag exists for ablation and
-    #: debugging, not because the paths can disagree.
-    vectorized_enumeration: bool = True
 
     #: Whether the DP loop accumulates per-phase wall-clock timers
     #: (enumerate/kernel/prune/materialize) into its
@@ -81,11 +76,10 @@ class OptimizerConfig:
     phase_timers: bool = True
 
     # Fields deliberately excluded from fingerprint() — REP005 enforces
-    # that every exclusion is listed here. Both flags change *how* the
-    # DP runs (batched vs scalar, timed vs untimed), never which plans
-    # come out, so cached results are valid across their settings.
+    # that every exclusion is listed here. Phase timing changes what
+    # the DP measures, never which plans come out, so cached results
+    # are valid across its settings.
     _FINGERPRINT_EXCLUDED = frozenset({
-        "vectorized_enumeration",
         "phase_timers",
     })
 
@@ -119,11 +113,8 @@ class OptimizerConfig:
         list the same join methods or DOPs in a different order
         canonicalize identically. All result-affecting fields
         participate — including the timeout, since it changes which
-        plans a run can produce. ``vectorized_enumeration`` is
-        deliberately excluded: the batched and scalar paths are
-        bit-for-bit identical, so results cached under one are valid
-        for the other. ``phase_timers`` is excluded for the same
-        reason — it only changes what gets *measured*, never which
+        plans a run can produce. ``phase_timers`` is deliberately
+        excluded: it only changes what gets *measured*, never which
         plans are produced.
         """
         return (

@@ -223,24 +223,12 @@ class _BlockedDPRun(DPRun):
         self._block_size = block_size
         self._virtual_leaves = virtual_leaves
 
-    def run(self):
-        graph = self.graph
-        masks = [
+    def _table_sets(self) -> list[int]:
+        return [
             mask
-            for mask in graph.connected_subsets()
+            for mask in super()._table_sets()
             if mask.bit_count() <= self._block_size
         ]
-        self.counters.table_sets_total = len(masks)
-        sets = {}
-        for mask in masks:
-            if mask.bit_count() == 1:
-                plan_set = self._build_singleton(mask)
-            else:
-                plan_set = self._build_composite(mask, sets)
-            sets[mask] = plan_set
-            self.counters.complete_table_set(mask, len(plan_set))
-        self.counters.timed_out = self._timed_out
-        return sets
 
     def _build_singleton(self, mask):
         alias = next(iter(self.graph.aliases_of(mask)))

@@ -14,35 +14,37 @@ table sets that have not been treated so far" — remaining sets keep only
 the best weighted plan, built from the best weighted representative of
 each operand set.
 
-Vectorized enumeration (the default,
-``OptimizerConfig.vectorized_enumeration``): instead of costing one
-``(join spec, outer plan, inner plan)`` candidate at a time, the hot
-loop computes whole ``outer x inner`` cost blocks per spec through the
-batched kernels of :meth:`repro.cost.model.CostModel.join_cost_block`,
-masks them down via :meth:`repro.core.pruning.PlanSet.block_accept`,
-and only materializes :class:`~repro.plans.plan.JoinPlan` objects for
-surviving rows (survivors carry flat ``(outer_idx, inner_idx)``
-backpointers, so materialization is a cheap gather).
-**Determinism contract:** the batch path visits candidates in exactly
-the scalar loop's order (spec-major, then outer, then inner) and the
-kernels mirror the scalar formulas operation for operation, so the
-resulting plan sets — entry order included — are bit-for-bit identical
-to the scalar path's. The scalar loop stays the reference because it
-still shares runs with the block path: it handles blocks too small to
-batch, every set built after a timeout, and pruning structures without
-a bit-identical block mask, all inside the same enumeration. The
-property tests in ``tests/test_vectorized_equivalence.py`` enforce the
-contract, and ``repro lint`` rule REP001 enforces its preconditions
-statically: no unseeded RNG, wall-clock reads, or unordered set
-iteration may feed results in this module (the deadline checks and
-phase timers below carry per-line ``lint-allow`` suppressions because
-they only gate *when* enumeration stops, never *which* plan wins).
+Batched enumeration: :meth:`DPRun._build_level` collects the ordered
+operand pairs of all table sets of one size (a DP level; they depend
+only on smaller sets) and costs their ``(join spec, outer plan, inner
+plan)`` candidates through the kernels of
+:meth:`repro.cost.model.CostModel.join_cost_block` and
+:meth:`~repro.cost.model.CostModel.index_nl_cost_block` — one call per
+join method covers every DOP, and a run of small pairs, which may span
+table sets, is gathered into one call — then masks each set's rows with
+:meth:`repro.core.pruning.PlanSet.block_accept` and materializes
+:class:`~repro.plans.plan.JoinPlan` objects only for surviving rows.
+
+**Determinism contract:** candidates are visited in one fixed order
+(split, operand order, spec — generic specs, then index-nested-loop
+specs per probe — outer, inner), the kernels mirror the scalar
+``join_cost`` formulas operation for operation, and ``block_accept``
+plus ordered ``force_insert`` equals a sequential ``insert`` for every
+pruning structure. So the plan sets, entry order included, equal those
+of a per-candidate loop (``tests/helpers.py`` keeps it as the
+reference), whatever the block boundaries. ``repro lint`` rule REP001
+enforces the preconditions statically: no unseeded RNG, wall-clock
+reads, or unordered set iteration may feed results in this module (the
+deadline checks and phase timers below carry per-line ``lint-allow``
+suppressions because they only gate *when* enumeration stops, never
+*which* plan wins).
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Callable
+from itertools import chain, groupby, islice
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +54,8 @@ from repro.core.pruning import PlanSet, SingleBestPlanSet
 from repro.obs.trace import active_tracer
 from repro.cost.model import CostModel
 from repro.cost.vector import project
-from repro.plans.operators import JoinMethod
-from repro.plans.plan import JoinPlan, Plan
+from repro.plans.operators import JoinMethod, JoinSpec
+from repro.plans.plan import JoinPlan, Plan, PlanBlock, ScanPlan
 from repro.plans.plan_space import PlanSpace
 from repro.query.join_graph import JoinGraph
 from repro.query.query import Query
@@ -68,18 +70,45 @@ PlanSetFactory = Callable[[], PlanSet]
 _STARTUP_INDEX = 1
 _TOTAL_INDEX = 0
 
-#: Minimum ``outer x inner`` candidates per spec for the block path;
-#: below this, numpy call overhead beats the batching win and the
-#: (bit-identical) scalar loop runs instead. Purely a deterministic
-#: performance cutover — it never changes results.
-_MIN_BLOCK_CANDIDATES = 16
-
-#: Maximum candidate rows costed per kernel call. Large Pareto sets
-#: (many-objective EXA) would otherwise allocate outer*inner*9 floats
-#: per kernel temporary; chunking the *outer* axis keeps peak memory
-#: bounded while preserving the outer-major enumeration order, so
-#: results are unaffected.
+#: Maximum candidate rows costed per kernel call (all its DOPs counted).
+#: Larger pairs are chunked on the outer axis, which keeps peak memory
+#: bounded and preserves the enumeration order.
 _MAX_BLOCK_ROWS = 32768
+
+#: Consecutive pairs of a DP level with at most this many candidates in
+#: total are gathered into one run, costed by one kernel call per join
+#: method; a larger pair is costed on its own, one spec at a time.
+_RUN_ROWS = 2048
+
+#: Candidate rows per ``block_accept`` call: later rows of a long block
+#: are then checked against the entries its earlier rows inserted, and
+#: the coverage check's temporaries stay small.
+_ACCEPT_ROWS = 256
+
+
+class _Pair(NamedTuple):
+    """One ordered operand pair of the table set ``mask``.
+
+    ``outer``/``inner`` are plan sets until costing starts, then their
+    :class:`PlanBlock` mirrors. ``groups`` splits the generic join
+    ``specs`` by join method (one kernel call each); ``probes`` are the
+    inners of the index-nested-loop joins, each joined under every one
+    of ``index_specs``.
+    """
+
+    mask: int
+    outer: object
+    inner: object
+    specs: tuple[JoinSpec, ...]
+    groups: tuple[tuple[JoinSpec, ...], ...]
+    probes: tuple[ScanPlan, ...]
+    index_specs: tuple[JoinSpec, ...]
+    selectivity: float
+
+
+#: Rows from ``start`` on join ``outer_plans`` with ``inner_plans``
+#: under each of ``specs`` in turn (spec-major, then outer, inner).
+Segment = tuple[int, tuple[JoinSpec, ...], Sequence[Plan], Sequence[Plan]]
 
 
 def strict_closure(indices: tuple[int, ...]) -> tuple[int, ...]:
@@ -170,21 +199,25 @@ class DPRun:
         self._check_interval = config.timeout_check_interval
         self._since_check = 0
         self._timed_out = False
-        self._vectorized = config.vectorized_enumeration
         # Phase timers cost a few perf_counter reads per candidate
-        # *block* (never per candidate), so they default on; the scalar
-        # loop's time is charged to enumeration as self time.
+        # *block* (never per candidate), so they default on.
         self._phase_timers = config.phase_timers
         self._all_indices = indices + extra_indices
         self._indices_array = np.array(self._all_indices, dtype=np.intp)
         self._full_projection = (
             self._all_indices == tuple(range(9)) and not include_rows
         )
-        self._nested_loop_specs = tuple(
-            spec
-            for spec in self.plan_space.generic_join_specs
-            if spec.method is JoinMethod.NESTED_LOOP
+        join_specs = self.plan_space.generic_join_specs
+        self._join_groups = tuple(
+            tuple(group)
+            for _, group in groupby(join_specs, key=lambda spec: spec.method)
         )
+        # Cartesian products: only nested loops are applicable.
+        self._cartesian_groups = tuple(
+            group for group in self._join_groups
+            if group[0].method is JoinMethod.NESTED_LOOP
+        )
+        self._index_nl_specs = self.plan_space.index_nl_specs
 
     @property
     def projection_width(self) -> int:
@@ -195,15 +228,15 @@ class DPRun:
     def run(self) -> dict[int, PlanSet]:
         """Execute the enumeration; returns plan sets keyed by bitmask.
 
-        When phase timing is on, the run's wall time minus whatever the
-        block path charged to kernel/prune/materialize is credited to
-        ``enumeration_ms`` — the phases stay disjoint and sum to the DP
-        wall time. When a tracer is active, one span per DP level
-        (table-set size) records where enumeration time went level by
-        level.
+        The table sets of one size form a DP level, built together by
+        :meth:`_build_level`. When phase timing is on, the run's wall
+        time minus whatever the block path charged to
+        kernel/prune/materialize is credited to ``enumeration_ms`` — the
+        phases stay disjoint and sum to the DP wall time. When a tracer
+        is active, one span per DP level records where enumeration time
+        went level by level.
         """
-        graph = self.graph
-        masks = graph.connected_subsets()
+        masks = self._table_sets()
         counters = self.counters
         counters.table_sets_total = len(masks)
         tracer = active_tracer()
@@ -212,43 +245,30 @@ class DPRun:
         sub_phase_before = (
             counters.kernel_ms + counters.pruning_ms + counters.materialize_ms
         )
-        level_span = None
-        level_plans_before = 0
-        level = 0
         sets: dict[int, PlanSet] = {}
-        for mask in masks:
-            size = mask.bit_count()
-            if tracer is not None and size != level:
-                if level_span is not None:
-                    level_span.set(
-                        plans_considered=(
-                            counters.plans_considered - level_plans_before
-                        ),
-                    )
-                    level_span.finish()
-                level = size
-                level_plans_before = counters.plans_considered
+        for size, level in groupby(masks, key=int.bit_count):
+            level_span = None
+            if tracer is not None:
                 level_span = tracer.begin(f"dp_level_{size}", "dp_level",
                                           tables=size)
-            fallback_before = self._timed_out
+            plans_before = counters.plans_considered
             if size == 1:
-                plan_set = self._build_singleton(mask)
+                # The timeout flag is read after each set is built.
+                built = [(mask, self._build_singleton(mask), self._timed_out)
+                         for mask in level]
             else:
-                plan_set = self._build_composite(mask, sets)
-            sets[mask] = plan_set
-            # A set counts as "treated completely" only if the whole
-            # enumeration for it ran before the timeout.
-            counters.complete_table_set(
-                mask, len(plan_set),
-                fallback=fallback_before or self._timed_out,
-            )
-        if level_span is not None:
-            level_span.set(
-                plans_considered=(
-                    counters.plans_considered - level_plans_before
-                ),
-            )
-            level_span.finish()
+                built = self._build_level(list(level), sets)
+            for mask, plan_set, fallback in built:
+                sets[mask] = plan_set
+                # A set counts as "treated completely" only if the whole
+                # enumeration for it ran before the timeout.
+                counters.complete_table_set(mask, len(plan_set),
+                                            fallback=fallback)
+            if level_span is not None:
+                level_span.set(
+                    plans_considered=counters.plans_considered - plans_before,
+                )
+                level_span.finish()
         if timers:
             wall_ms = (_time.perf_counter() - run_start) * 1000.0  # lint-allow: REP001 phase timer; measured, never decided on
             sub_phase_ms = (
@@ -260,6 +280,13 @@ class DPRun:
             counters.enumeration_ms += max(0.0, wall_ms - sub_phase_ms)
         counters.timed_out = self._timed_out
         return sets
+
+    def _table_sets(self) -> list[int]:
+        """Table sets to build, bottom-up (operands before their unions).
+
+        Subclasses may restrict the enumeration to a subset of them.
+        """
+        return self.graph.connected_subsets()
 
     # ------------------------------------------------------------------
     def _new_set(self) -> PlanSet:
@@ -274,10 +301,32 @@ class DPRun:
             self._consider(plan_set, plan)
         return plan_set
 
-    def _build_composite(self, mask: int, sets: dict[int, PlanSet]) -> PlanSet:
-        plan_set = self._new_set()
+    def _build_level(
+        self, masks: list[int], sets: dict[int, PlanSet]
+    ) -> list[tuple[int, PlanSet, bool]]:
+        """Build the composite table sets ``masks``, all of one size.
+
+        Returns ``(mask, plan set, built after the timeout)`` per set.
+        The operand pairs of a level's sets are costed together, so
+        kernel calls span table sets; each set's plan set is created
+        when its first candidates are accepted.
+        """
+        targets, after_timeout = self._combine([
+            pair for mask in masks for pair in self._operand_pairs(mask, sets)
+        ])
+        return [
+            (mask, targets[mask] if mask in targets else self._new_set(),
+             after_timeout.get(mask, self._timed_out))
+            for mask in masks
+        ]
+
+    def _operand_pairs(
+        self, mask: int, sets: dict[int, PlanSet]
+    ) -> list[_Pair]:
+        """The ordered operand pairs of ``mask``, in enumeration order."""
         graph = self.graph
         left_deep = self.config.plan_shape is PlanShape.LEFT_DEEP
+        pairs = []
         for left_mask, right_mask in graph.splits(mask):
             left_set = sets.get(left_mask)
             right_set = sets.get(right_mask)
@@ -295,268 +344,241 @@ class DPRun:
             selectivity = self.cost_model.selectivities.join_selectivity(
                 self.query, predicates
             )
+            groups = (
+                self._join_groups if predicates else self._cartesian_groups
+            )
+            specs = tuple(chain.from_iterable(groups))
             # Left-deep trees require a base-table inner; bushy trees
             # combine each unordered split in both operand orders.
             if not left_deep or right_mask.bit_count() == 1:
-                self._combine_pair(plan_set, left_set, right_mask,
-                                   right_set, predicates, selectivity)
+                pairs.append(_Pair(
+                    mask, left_set, right_set, specs, groups,
+                    self._probes(right_mask, predicates),
+                    self._index_nl_specs, selectivity,
+                ))
             if not left_deep or left_mask.bit_count() == 1:
-                self._combine_pair(plan_set, right_set, left_mask,
-                                   left_set, predicates, selectivity)
-        return plan_set
+                pairs.append(_Pair(
+                    mask, right_set, left_set, specs, groups,
+                    self._probes(left_mask, predicates),
+                    self._index_nl_specs, selectivity,
+                ))
+        return pairs
 
-    def _combine_pair(
-        self,
-        target: PlanSet,
-        outer_set: PlanSet,
-        inner_mask: int,
-        inner_set: PlanSet,
-        predicates,
-        selectivity: float,
-    ) -> None:
-        """Join plans with ``outer`` as left and ``inner`` as right operand.
+    def _probes(self, inner_mask: int, predicates) -> tuple[ScanPlan, ...]:
+        """Index-probe inners of index-nested-loop joins into ``inner_mask``.
 
-        Dispatches to the batched block path (default) or the scalar
-        per-candidate loop. The scalar loop remains the behavioural
-        reference: it runs when ``vectorized_enumeration`` is off, after
-        a timeout (single-representative fallback), and for pruning
-        structures whose block semantics are not bit-for-bit equivalent
-        (``vectorizable = False``, e.g. the aggressive ablation variant).
+        The inner must be a single base table with an index on a join
+        column.
         """
-        if (
-            self._vectorized
-            and not self._timed_out
-            and target.vectorizable
-            and len(outer_set) * len(inner_set) >= _MIN_BLOCK_CANDIDATES
+        if not (
+            predicates and self._index_nl_specs
+            and inner_mask.bit_count() == 1
         ):
-            self._combine_pair_block(
-                target, outer_set, inner_mask, inner_set, predicates,
-                selectivity,
-            )
-        else:
-            self._combine_pair_scalar(
-                target, outer_set, inner_mask, inner_set, predicates,
-                selectivity,
-            )
-
-    def _combine_pair_scalar(
-        self,
-        target: PlanSet,
-        outer_set: PlanSet,
-        inner_mask: int,
-        inner_set: PlanSet,
-        predicates,
-        selectivity: float,
-    ) -> None:
-        """Reference per-candidate loop (one ``join_cost`` call each).
-
-        Hot loop: for every candidate the cost vector is computed first
-        and a :class:`JoinPlan` is only materialized if the target set
-        does not already (approximately) dominate it.
-        """
-        query = self.query
-        cost_model = self.cost_model
-        if self._timed_out:
-            # Timeout fallback: single representative per operand set.
-            outer_entry = outer_set.best_weighted(self.weights)
-            inner_entry = inner_set.best_weighted(self.weights)
-            outer_plans = [outer_entry[1]] if outer_entry else []
-            inner_plans = [inner_entry[1]] if inner_entry else []
-        else:
-            outer_plans = [plan for _, plan in outer_set]
-            inner_plans = [plan for _, plan in inner_set]
-
-        if predicates:
-            generic_specs = self.plan_space.generic_join_specs
-        else:
-            # Cartesian product: only nested loops are applicable.
-            generic_specs = self._nested_loop_specs
-
-        indices = self._all_indices
-        include_rows = self.include_rows
-        full_projection = self._full_projection
-        join_cost = cost_model.join_cost
-        counters = self.counters
-        for spec in generic_specs:
-            for left_plan in outer_plans:
-                left_rows = left_plan.rows
-                for right_plan in inner_plans:
-                    out_rows = left_rows * right_plan.rows * selectivity
-                    cost = join_cost(spec, left_plan, right_plan, out_rows)
-                    counters.plans_considered += 1
-                    if full_projection:
-                        projected = cost
-                    else:
-                        projected = tuple(cost[i] for i in indices)
-                        if include_rows:
-                            projected += (out_rows,)
-                    if not target.covers(projected):
-                        plan = JoinPlan(
-                            spec, left_plan, right_plan, out_rows,
-                            left_plan.width + right_plan.width,
-                            cost, cost[8],
-                        )
-                        target.force_insert(projected, plan)
-                    self._since_check += 1
-                    if self._since_check >= self._check_interval:
-                        self._since_check = 0
-                        self._check_deadline()
-                        if self._timed_out:
-                            return
-
-        # Index-nested-loop: inner must be a single base table with an
-        # index on a join column.
-        if predicates and inner_mask.bit_count() == 1:
-            inner_alias = next(iter(self.graph.aliases_of(inner_mask)))
-            if not self._allow_index_probe(inner_alias):
-                return
-            probes = self.plan_space.index_probe_inners(
-                query, inner_alias, predicates
-            )
-            for probe in probes:
-                probe_rows = probe.rows
-                for spec in self.plan_space.index_nl_specs:
-                    for left_plan in outer_plans:
-                        out_rows = left_plan.rows * probe_rows * selectivity
-                        cost = join_cost(spec, left_plan, probe, out_rows)
-                        counters.plans_considered += 1
-                        if full_projection:
-                            projected = cost
-                        else:
-                            projected = tuple(cost[i] for i in indices)
-                            if include_rows:
-                                projected += (out_rows,)
-                        if not target.covers(projected):
-                            plan = JoinPlan(
-                                spec, left_plan, probe, out_rows,
-                                left_plan.width + probe.width,
-                                cost, cost[8],
-                            )
-                            target.force_insert(projected, plan)
-                        self._since_check += 1
-                        if self._since_check >= self._check_interval:
-                            self._since_check = 0
-                            self._check_deadline()
-                            if self._timed_out:
-                                return
+            return ()
+        inner_alias = next(iter(self.graph.aliases_of(inner_mask)))
+        if not self._allow_index_probe(inner_alias):
+            return ()
+        return tuple(self.plan_space.index_probe_inners(
+            self.query, inner_alias, predicates
+        ))
 
     # ------------------------------------------------------------------
-    # Vectorized (block) enumeration
+    # Batched costing
     # ------------------------------------------------------------------
-    def _combine_pair_block(
-        self,
-        target: PlanSet,
-        outer_set: PlanSet,
-        inner_mask: int,
-        inner_set: PlanSet,
-        predicates,
-        selectivity: float,
-    ) -> None:
-        """Batched ``_combine_pair``: per-spec ``outer x inner`` blocks.
+    def _combine(
+        self, pairs: list[_Pair]
+    ) -> tuple[dict[int, PlanSet], dict[int, bool]]:
+        """Cost ``pairs`` in order into the plan sets of their table sets.
 
-        Candidates are generated in exactly the scalar loop's order
-        (spec-major, then outer, then inner); each spec's block is
-        costed by one kernel call, masked by
-        :meth:`~repro.core.pruning.PlanSet.block_accept`, and only
-        surviving rows materialize plans — see the module docstring's
-        determinism contract.
+        Consecutive pairs with at most :data:`_RUN_ROWS` candidates in
+        total form one run; a larger pair is costed alone, in the parts
+        of :meth:`_split`. Once the deadline check trips, the rest of a
+        pair cut off mid-way is dropped and the remaining pairs join
+        one-row blocks of each operand's best weighted plan (Section
+        5.1). Returns the plan sets by mask, and per mask whether the
+        timeout had been detected when its last pair was done.
         """
-        cost_model = self.cost_model
-        outer_block = outer_set.plan_block()
-        inner_block = inner_set.plan_block()
-        if predicates:
-            generic_specs = self.plan_space.generic_join_specs
-        else:
-            # Cartesian product: only nested loops are applicable.
-            generic_specs = self._nested_loop_specs
-
-        n_outer = len(outer_block)
-        n_inner = len(inner_block)
-        outer_chunk = max(1, _MAX_BLOCK_ROWS // n_inner)
-        timers = self._phase_timers
-        counters = self.counters
-        for spec in generic_specs:
-            # Chunking the outer axis preserves the outer-major
-            # candidate order, so chunk boundaries are invisible to the
-            # pruning structure (earlier chunks insert before later
-            # chunks' accept masks are computed — the sequential order).
-            for start in range(0, n_outer, outer_chunk):
-                stop = min(start + outer_chunk, n_outer)
-                chunk = (
-                    outer_block
-                    if stop - start == n_outer
-                    else outer_block.slice(start, stop)
+        targets: dict[int, PlanSet] = {}
+        after_timeout: dict[int, bool] = {}
+        start = 0
+        while start < len(pairs):
+            operand = (
+                self._representative if self._timed_out
+                else PlanSet.plan_block
+            )
+            run: list[_Pair] = []
+            rows = 0
+            for pair in islice(pairs, start, None):
+                pair = pair._replace(outer=operand(pair.outer),
+                                     inner=operand(pair.inner))
+                pair_rows = len(pair.outer) * (
+                    len(pair.specs) * len(pair.inner)
+                    + len(pair.probes) * len(pair.index_specs)
                 )
-                kernel_start = _time.perf_counter() if timers else 0.0  # lint-allow: REP001 phase timer; measured, never decided on
-                out_rows = (
-                    chunk.rows[:, None] * inner_block.rows[None, :]
-                ) * selectivity
-                costs = cost_model.join_cost_block(
-                    spec, chunk, inner_block, out_rows
-                ).reshape(-1, 9)
-                if timers:
-                    counters.kernel_ms += (
-                        _time.perf_counter() - kernel_start  # lint-allow: REP001 phase timer; measured, never decided on
-                    ) * 1000.0
-                if not self._insert_block(
-                    target, spec, costs, out_rows.reshape(-1),
-                    chunk.plans, inner_block.plans, n_inner,
-                ):
-                    return
-
-        # Index-nested-loop: inner must be a single base table with an
-        # index on a join column.
-        if predicates and inner_mask.bit_count() == 1:
-            inner_alias = next(iter(self.graph.aliases_of(inner_mask)))
-            if not self._allow_index_probe(inner_alias):
-                return
-            probes = self.plan_space.index_probe_inners(
-                self.query, inner_alias, predicates
+                if run and (rows + pair_rows > _RUN_ROWS
+                            or pair.groups is not run[0].groups):
+                    break
+                run.append(pair)
+                rows += pair_rows
+            start += len(run)
+            # Only a single pair can exceed the run size.
+            parts = (
+                [[part] for part in self._split(run[0])]
+                if rows > _RUN_ROWS else [run]
             )
-            for probe in probes:
-                probe_out_rows = (
-                    outer_block.rows * probe.rows
-                ) * selectivity
-                for spec in self.plan_space.index_nl_specs:
-                    kernel_start = _time.perf_counter() if timers else 0.0  # lint-allow: REP001 phase timer; measured, never decided on
-                    costs = cost_model.index_nl_cost_block(
-                        spec, outer_block, probe, probe_out_rows
-                    )
-                    if timers:
-                        counters.kernel_ms += (
-                            _time.perf_counter() - kernel_start  # lint-allow: REP001 phase timer; measured, never decided on
-                        ) * 1000.0
-                    if not self._insert_block(
-                        target, spec, costs, probe_out_rows,
-                        outer_block.plans, (probe,), 1,
-                    ):
-                        return
+            for part in parts:
+                self._combine_run(targets, part)
+                for pair in part:
+                    after_timeout[pair.mask] = self._timed_out
+                if self._timed_out:
+                    break
+        return targets, after_timeout
 
-    def _insert_block(
+    def _representative(self, plan_set: PlanSet) -> PlanBlock:
+        """One-row block of the set's best weighted plan."""
+        return PlanBlock([plan_set.best_weighted(self.weights)[1]])
+
+    @staticmethod
+    def _split(pair: _Pair) -> list[_Pair]:
+        """A large pair as parts that are costed and accepted in turn.
+
+        One part per spec (and probe) and outer chunk of at most
+        :data:`_MAX_BLOCK_ROWS` rows, in enumeration order; only one
+        part's cost block is alive at a time.
+        """
+        def chunks(n_inner: int) -> list[PlanBlock]:
+            step = max(1, _MAX_BLOCK_ROWS // n_inner)
+            return [pair.outer.slice(first, first + step)
+                    for first in range(0, len(pair.outer), step)]
+
+        return [
+            pair._replace(outer=outer, specs=(spec,), groups=((spec,),),
+                          probes=())
+            for spec in pair.specs for outer in chunks(len(pair.inner))
+        ] + [
+            pair._replace(outer=outer, specs=(), groups=(), probes=(probe,),
+                          index_specs=(spec,))
+            for probe in pair.probes for spec in pair.index_specs
+            for outer in chunks(1)
+        ]
+
+    def _combine_run(self, targets: dict[int, PlanSet],
+                     pairs: list[_Pair]) -> None:
+        """Cost a run of pairs and prune their table sets' plan sets.
+
+        One kernel call per join method, and one for the
+        index-nested-loop joins, costs every pair of the run at every
+        DOP; the rows are then laid out in enumeration order: per pair,
+        its generic specs, then its index-nested-loop specs per probe. A
+        table set's plan set is created when its first rows are
+        accepted.
+        """
+        generic = self._cost_joins(
+            self.cost_model.join_cost_block, pairs[0].groups,
+            [(pair.outer, pair.inner, pair.selectivity) for pair in pairs],
+        )
+        indexed = iter(self._cost_joins(
+            self.cost_model.index_nl_cost_block, (pairs[0].index_specs,),
+            [(pair.outer, PlanBlock.of_probes((probe,)), pair.selectivity)
+             for pair in pairs for probe in pair.probes],
+        ))
+        considered = 0
+        for mask, costed in groupby(zip(pairs, generic),
+                                    key=lambda item: item[0].mask):
+            segments: list[Segment] = []
+            batch: list[tuple[np.ndarray, np.ndarray]] = []
+            position = 0
+            for pair, pieces in costed:
+                joins = [(pair.specs, pair.inner.plans, pieces)] + [
+                    (pair.index_specs, (probe,), next(indexed))
+                    for probe in pair.probes
+                ]
+                for specs, inner_plans, pieces in joins:
+                    if pieces:
+                        segments.append(
+                            (position, specs, pair.outer.plans, inner_plans)
+                        )
+                        batch.extend(pieces)
+                        position += (
+                            len(specs) * len(pair.outer) * len(inner_plans)
+                        )
+            if batch:
+                if mask not in targets:
+                    targets[mask] = self._new_set()
+                self._accept(targets[mask], batch, segments)
+            considered += position
+        self._since_check += considered
+        if not self._timed_out and self._since_check >= self._check_interval:
+            self._since_check = 0
+            self._check_deadline()
+
+    def _cost_joins(self, kernel, groups, joins) -> list[list[tuple]]:
+        """Cost ``joins`` under each spec group, one kernel call a group.
+
+        ``joins`` lists ``(outer block, inner block, selectivity)``.
+        Returns, per join, one ``(costs, out_rows)`` piece per group, of
+        shapes ``(len(group), candidates, 9)`` and ``(len(group),
+        candidates)``.
+        """
+        if not (joins and groups):
+            return [[] for _ in joins]
+        left, right, out_rows = _gather(joins)
+        costed = []
+        for group in groups:
+            costs, rows = self._cost(kernel, group, left, right, out_rows)
+            costed.append((costs.reshape(len(group), -1, 9),
+                           rows.reshape(len(group), -1)))
+        pieces = []
+        first = 0
+        for outer, inner, _ in joins:
+            last = first + len(outer) * len(inner)
+            pieces.append([
+                (costs[:, first:last], rows[:, first:last])
+                for costs, rows in costed
+            ])
+            first = last
+        return pieces
+
+    def _cost(self, kernel, specs, outer, inner, out_rows) -> tuple:
+        """One timed kernel call costing ``out_rows`` under every spec.
+
+        Returns the costs and ``out_rows`` repeated per spec (a
+        broadcast view), both with one leading axis per spec.
+        """
+        timers = self._phase_timers
+        kernel_start = _time.perf_counter() if timers else 0.0  # lint-allow: REP001 phase timer; measured, never decided on
+        out_rows = np.broadcast_to(out_rows, (len(specs),) + out_rows.shape)
+        costs = kernel(specs, outer, inner, out_rows)
+        if timers:
+            self.counters.kernel_ms += (
+                _time.perf_counter() - kernel_start  # lint-allow: REP001 phase timer; measured, never decided on
+            ) * 1000.0
+        return costs, out_rows
+
+    def _accept(
         self,
         target: PlanSet,
-        spec,
-        costs: np.ndarray,
-        out_rows: np.ndarray,
-        outer_plans,
-        inner_plans,
-        n_inner: int,
-    ) -> bool:
-        """Mask one cost block and materialize its surviving rows.
+        pieces: list[tuple[np.ndarray, np.ndarray]],
+        segments: list[Segment],
+    ) -> None:
+        """Prune ``target`` with a run's costed pieces, in order.
 
-        ``costs`` is the flat ``(n, 9)`` block in enumeration order;
-        row ``k`` joins ``outer_plans[k // n_inner]`` with
-        ``inner_plans[k % n_inner]``. Returns ``False`` once the
-        deadline check trips (the caller abandons the remaining specs,
-        like the scalar loop's mid-iteration return).
+        ``pieces`` are ``(costs, out_rows)`` as :meth:`_cost_joins`
+        returns them, and ``segments`` say which spec and operands each
+        row joins. The rows are masked by ``block_accept`` in slices of
+        :data:`_ACCEPT_ROWS`, and only surviving rows materialize plans.
         """
         counters = self.counters
         timers = self._phase_timers
+        costs = np.concatenate(
+            [block for block, _ in pieces], axis=None
+        ).reshape(-1, 9)
+        out_rows = np.concatenate([rows for _, rows in pieces], axis=None)
         n_rows = costs.shape[0]
         counters.plans_considered += n_rows
         counters.candidates_vectorized += n_rows
-        prune_start = _time.perf_counter() if timers else 0.0  # lint-allow: REP001 phase timer; measured, never decided on
-        if self._full_projection:
+        full_projection = self._full_projection
+        if full_projection:
             projected = costs
         else:
             projected = costs[:, self._indices_array]
@@ -564,34 +586,46 @@ class DPRun:
                 projected = np.concatenate(
                     (projected, out_rows[:, None]), axis=1
                 )
-        keep = target.block_accept(projected)
-        if timers:
-            materialize_start = _time.perf_counter()  # lint-allow: REP001 phase timer; measured, never decided on
-            counters.pruning_ms += (materialize_start - prune_start) * 1000.0
-        for position in map(int, np.nonzero(keep)[0]):
-            cost = tuple(costs[position].tolist())
-            if self._full_projection:
-                projected_tuple = cost
-            else:
-                projected_tuple = tuple(projected[position].tolist())
-            left_plan = outer_plans[position // n_inner]
-            right_plan = inner_plans[position % n_inner]
-            plan = JoinPlan(
-                spec, left_plan, right_plan, float(out_rows[position]),
-                left_plan.width + right_plan.width, cost, cost[8],
+        starts = [segment[0] for segment in segments]
+        for start in range(0, n_rows, _ACCEPT_ROWS):
+            prune_start = _time.perf_counter() if timers else 0.0  # lint-allow: REP001 phase timer; measured, never decided on
+            keep = target.block_accept(projected[start:start + _ACCEPT_ROWS])
+            if timers:
+                materialize_start = _time.perf_counter()  # lint-allow: REP001 phase timer; measured, never decided on
+                counters.pruning_ms += (
+                    materialize_start - prune_start
+                ) * 1000.0
+            rows = np.flatnonzero(keep) + start
+            owners = np.searchsorted(starts, rows, "right") - 1
+            kept_costs = costs[rows].tolist()
+            kept_keys = (
+                kept_costs if full_projection else projected[rows].tolist()
             )
-            target.force_insert(projected_tuple, plan)
-        if timers:
-            counters.materialize_ms += (
-                _time.perf_counter() - materialize_start  # lint-allow: REP001 phase timer; measured, never decided on
-            ) * 1000.0
-        self._since_check += n_rows
-        if self._since_check >= self._check_interval:
-            self._since_check = 0
-            self._check_deadline()
-            if self._timed_out:
-                return False
-        return True
+            for row, owner, cost, key, row_count in zip(
+                rows.tolist(), owners.tolist(), kept_costs, kept_keys,
+                out_rows[rows].tolist(),
+            ):
+                segment_start, specs, outer_plans, inner_plans = (
+                    segments[owner]
+                )
+                n_inner = len(inner_plans)
+                spec, candidate = divmod(
+                    row - segment_start, len(outer_plans) * n_inner
+                )
+                left_plan = outer_plans[candidate // n_inner]
+                right_plan = inner_plans[candidate % n_inner]
+                cost = tuple(cost)
+                target.force_insert(
+                    cost if full_projection else tuple(key),
+                    JoinPlan(
+                        specs[spec], left_plan, right_plan, row_count,
+                        left_plan.width + right_plan.width, cost, cost[8],
+                    ),
+                )
+            if timers:
+                counters.materialize_ms += (
+                    _time.perf_counter() - materialize_start  # lint-allow: REP001 phase timer; measured, never decided on
+                ) * 1000.0
 
     # ------------------------------------------------------------------
     def _consider(self, target: PlanSet, plan: Plan) -> None:
@@ -628,3 +662,30 @@ class DPRun:
     def timed_out(self) -> bool:
         """Whether the deadline was hit during enumeration."""
         return self._timed_out
+
+
+def _gather(joins) -> tuple[PlanBlock, PlanBlock, np.ndarray]:
+    """Operand columns and output cardinalities of ``joins``.
+
+    ``joins`` lists ``(outer block, inner block, selectivity)``. One join
+    is costed as an ``outer x inner`` broadcast; several are gathered
+    into flat per-candidate columns, join after join, each outer-major.
+    """
+    if len(joins) == 1:
+        (outer, inner, selectivity), = joins
+        left, right = outer.take(np.s_[:, None]), inner.take(np.s_[None])
+        return left, right, (left.rows * right.rows) * selectivity
+    outer_sizes = np.array([len(outer) for outer, _, _ in joins])
+    inner_sizes = np.array([len(inner) for _, inner, _ in joins])
+    sizes = outer_sizes * inner_sizes
+    owner = np.repeat(np.arange(len(joins)), sizes)
+    local = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+    inner_count = inner_sizes[owner]
+    left = PlanBlock.concatenate([outer for outer, _, _ in joins]).take(
+        (np.cumsum(outer_sizes) - outer_sizes)[owner] + local // inner_count
+    )
+    right = PlanBlock.concatenate([inner for _, inner, _ in joins]).take(
+        (np.cumsum(inner_sizes) - inner_sizes)[owner] + local % inner_count
+    )
+    selectivities = np.array([selectivity for _, _, selectivity in joins])
+    return left, right, left.rows * right.rows * selectivities[owner]

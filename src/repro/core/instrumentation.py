@@ -54,7 +54,7 @@ class Counters:
     #: ``pruning`` is dominance filtering (block accept + projection),
     #: ``materialize`` is survivor plan construction, and
     #: ``enumeration`` is everything else in the DP wall time (subset
-    #: iteration, partitioning, the scalar loop) — so their sum tracks
+    #: iteration, pair gathering, leaf access paths) — so their sum tracks
     #: the run's elapsed time.
     enumeration_ms: float = 0.0
     kernel_ms: float = 0.0
@@ -262,12 +262,11 @@ class RequestMetrics:
 
     @property
     def vectorized_fraction(self) -> float:
-        """Share of candidates that took the batched enumeration path.
+        """Share of candidates costed through the batched kernels.
 
-        1.0 means every candidate was costed through the block kernels;
-        0.0 means the scalar loop handled everything (flag off, timeout
-        fallback, or a non-vectorizable pruning structure). Cache hits
-        report 0 candidates either way.
+        Every join candidate is; only the access paths of single tables
+        are not, so this stays just below 1.0. Cache hits report 0
+        candidates either way.
         """
         if self.plans_considered <= 0:
             return 0.0

@@ -31,22 +31,18 @@ slab comparisons broadcast to one ``rows x entries x width`` boolean
 cube; larger ones AND the per-dimension ``rows x entries`` comparisons
 instead, which skips the slow reduction over the short trailing axis.
 
-Block operations (vectorized enumeration): the batched enumerator of
-:mod:`repro.core.dp` tests whole candidate blocks at once via
-:meth:`PlanSet.block_accept` — a block coverage check against the
-stored entries (:meth:`PlanSet.covers_many`, with the same
-alpha/exact-suffix thresholds as :meth:`PlanSet.covers`) followed by an
-intra-block sweep that prunes candidates against earlier *accepted*
-candidates in deterministic enumeration order. **Determinism contract:**
-because insertion discards use *exact* dominance, a discarded entry is
-always elementwise-covered by its discarder, so removing it can never
-un-cover a later candidate; the accept decision therefore depends only
-on the entries at block start plus the earlier accepted candidates, and
-``block_accept`` + ordered replay of :meth:`PlanSet.force_insert` is
-bit-for-bit identical to the scalar per-candidate loop.
-:class:`AggressivePlanSet` discards *approximately* dominated entries,
-which breaks that argument — it opts out via ``vectorizable = False``
-and always takes the scalar path.
+Block operations: the batched enumerator of :mod:`repro.core.dp` tests
+whole candidate blocks via :meth:`PlanSet.block_accept` — a coverage
+check against the stored entries (:meth:`PlanSet.covers_many`, with the
+thresholds of :meth:`PlanSet.covers`) followed by an ordered sweep
+against the block's earlier *accepted* candidates. **Determinism
+contract:** for every structure here, ``block_accept`` plus an ordered
+replay of :meth:`PlanSet.force_insert` equals inserting the candidates
+one by one. For ``PlanSet`` this holds because discards use *exact*
+dominance: a discarded entry is covered by its discarder, so removing
+it never un-covers a later candidate. :class:`AggressivePlanSet`
+discards *approximately* dominated entries, so its ``block_accept``
+replays its own insert/discard loop instead.
 
 ``repro lint`` rule REP001 statically enforces this module's side of
 the contract: no ambient entropy (unseeded RNG, clock reads, unordered
@@ -116,10 +112,6 @@ class PlanSet:
     __slots__ = ("alpha", "entries", "exact_suffix", "_costs", "_size",
                  "_block")
 
-    #: Whether block_accept() is bit-for-bit equivalent to the scalar
-    #: insert loop (see the module docstring's determinism contract).
-    vectorizable = True
-
     def __init__(self, alpha: float = 1.0, exact_suffix: int = 0) -> None:
         if alpha < 1.0:
             raise ValueError(f"internal precision must be >= 1, got {alpha}")
@@ -178,7 +170,7 @@ class PlanSet:
         self._append(cost, plan)
 
     # ------------------------------------------------------------------
-    # Block operations (vectorized enumeration)
+    # Block operations (batched enumeration)
     # ------------------------------------------------------------------
     def covers_many(self, candidates: np.ndarray) -> np.ndarray:
         """Keep mask over a candidate cost matrix vs the stored entries.
@@ -199,26 +191,27 @@ class PlanSet:
         (:meth:`covers_many`); phase 2 sweeps the survivors in
         enumeration order, dropping any candidate approximately
         dominated by an earlier *accepted* candidate of the same block.
-        Replaying :meth:`force_insert` for the accepted rows in order
-        reproduces the scalar insert loop bit for bit (module
-        docstring: determinism contract).
+        The first survivor left is always accepted, so the sweep accepts
+        it and drops, in one comparison, every later survivor it covers:
+        it takes one step per accepted row, not per survivor. Replaying
+        :meth:`force_insert` for the accepted rows in order reproduces
+        the sequential insert loop bit for bit (module docstring:
+        determinism contract).
         """
         thresholds = self._block_thresholds(candidates)
         keep = self._not_covered(candidates, thresholds)
-        survivors = np.nonzero(keep)[0]
+        survivors = np.flatnonzero(keep)
         if len(survivors) <= 1:
             return keep
-        width = candidates.shape[1]
-        accepted = np.empty((len(survivors), width))
-        count = 0
-        for position in survivors:
-            if count and bool(
-                (accepted[:count] <= thresholds[position]).all(axis=1).any()
-            ):
-                keep[position] = False
-                continue
-            accepted[count] = candidates[position]
-            count += 1
+        keep[survivors] = False
+        rows = candidates[survivors]
+        limits = thresholds[survivors]
+        while len(survivors):
+            keep[survivors[0]] = True
+            uncovered = ~(rows[0] <= limits[1:]).all(axis=1)
+            survivors = survivors[1:][uncovered]
+            rows = rows[1:][uncovered]
+            limits = limits[1:][uncovered]
         return keep
 
     def plan_block(self) -> PlanBlock:
@@ -367,11 +360,32 @@ class AggressivePlanSet(PlanSet):
 
     __slots__ = ()
 
-    #: Approximate-dominance discards can remove an entry that is *not*
-    #: elementwise-covered by its discarder, so mid-block coverage
-    #: outcomes depend on discard timing — the block determinism
-    #: contract does not hold and this variant always runs scalar.
-    vectorizable = False
+    def block_accept(self, candidates: np.ndarray) -> np.ndarray:
+        """Accept mask for an ordered candidate block (does not mutate).
+
+        An approximate discard can remove an entry that later candidates
+        would have been covered by, so this runs the insert loop itself
+        (coverage check, discard, append) over a copy of the stored
+        costs.
+        """
+        thresholds = self._block_thresholds(candidates)
+        alpha = self.alpha
+        size = self._size
+        stored = np.empty((size + len(candidates), candidates.shape[1]))
+        if size:
+            stored[:size] = self._costs[:size]
+        keep = np.zeros(len(candidates), dtype=bool)
+        for position, row in enumerate(candidates):
+            live = stored[:size]
+            if size and (live <= thresholds[position]).all(axis=1).any():
+                continue
+            keep[position] = True
+            kept = live[~(live * alpha >= row).all(axis=1)]
+            size = len(kept)
+            stored[:size] = kept
+            stored[size] = row
+            size += 1
+        return keep
 
     def _discard_dominated(self, cost: CostTuple) -> None:
         size = self._size
@@ -432,7 +446,7 @@ class SingleBestPlanSet(PlanSet):
     def block_accept(self, candidates: np.ndarray) -> np.ndarray:
         """Accept exactly the candidates that improve the running best.
 
-        The scalar loop accepts a candidate iff its weighted cost is
+        A sequential insert accepts a candidate iff its weighted cost is
         strictly below the best seen so far (initial best included), so
         the batch equivalent is a strict comparison against the running
         prefix minimum. The weighted sum is accumulated dimension by

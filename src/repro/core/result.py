@@ -44,8 +44,8 @@ class OptimizationResult:
     pareto_last_complete: int
     plans_considered: int
     timed_out: bool
-    #: Candidates costed through the batched enumeration path (out of
-    #: ``plans_considered``); 0 on the scalar path.
+    #: Candidates costed through the batched kernels (out of
+    #: ``plans_considered``): every join candidate, not the access paths.
     candidates_vectorized: int = 0
     iterations: int = 1
     alpha: float | None = None

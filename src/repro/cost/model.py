@@ -421,39 +421,48 @@ class CostModel:
         return (time, startup, io, cpu, cores, disk, buffer, energy, loss)
 
     # ------------------------------------------------------------------
-    # Batched join-cost kernels (vectorized enumeration hot path)
+    # Batched join-cost kernels (the enumeration hot path)
     # ------------------------------------------------------------------
     # Each kernel mirrors its scalar counterpart above operation for
     # operation, in the same association order, using only elementwise
     # IEEE-exact numpy primitives (+, -, *, /, maximum, minimum, where).
-    # This is what makes the vectorized enumerator's results bit-for-bit
-    # identical to the scalar loop — do not "simplify" an expression
-    # here without making the same change in the scalar formula.
+    # This is what makes the enumerator's results bit-for-bit identical
+    # to a per-candidate loop over join_cost — do not "simplify" an
+    # expression here without making the same change in the scalar
+    # formula.
+    #
+    # Shapes: ``outer`` and ``inner`` are operand columns
+    # (PlanBlock.take views or gathers) that broadcast elementwise
+    # against each other — flat per-candidate columns for a gathered
+    # run of operand pairs, or (n, 1) against (1, m) for one
+    # outer x inner block. ``specs`` share one join method and differ in
+    # DOP; ``out_rows`` carries one leading axis per spec, so its
+    # ``size`` is the number of candidate rows costed, and the result
+    # has shape ``out_rows.shape + (9,)``.
 
     def join_cost_block(
         self,
-        spec: JoinSpec,
+        specs: tuple[JoinSpec, ...],
         outer: PlanBlock,
         inner: PlanBlock,
         out_rows: np.ndarray,
     ) -> np.ndarray:
-        """Cost vectors of joining every (outer, inner) plan pair.
+        """Cost vectors of joining ``outer`` and ``inner`` under ``specs``.
 
-        Batched mirror of :meth:`join_cost`: ``out_rows`` is the
-        ``(n_outer, n_inner)`` output-cardinality matrix and the result
-        has shape ``(n_outer, n_inner, 9)``, laid out so that
-        ``result[i, j]`` equals ``join_cost(spec, outer.plans[i],
-        inner.plans[j], out_rows[i, j])`` bit for bit.
-        Index-nested-loop joins batch over the outer only — see
-        :meth:`index_nl_cost_block`.
+        Batched mirror of :meth:`join_cost`: ``result[s, ...]`` equals
+        ``join_cost(specs[s], left, right, out_rows[s, ...])`` bit for
+        bit, where ``left`` and ``right`` are the plans whose columns
+        meet at that position. Index-nested-loop joins have their own
+        kernel, :meth:`index_nl_cost_block`.
         """
-        method = spec.method
+        method = specs[0].method
+        dop = _dop_column(specs, out_rows.ndim)
         if method is JoinMethod.HASH:
-            return self._hash_cost_block(spec, outer, inner, out_rows)
+            return self._hash_cost_block(dop, outer, inner, out_rows)
         if method is JoinMethod.MERGE:
-            return self._merge_cost_block(spec, outer, inner, out_rows)
+            return self._merge_cost_block(dop, outer, inner, out_rows)
         if method is JoinMethod.NESTED_LOOP:
-            return self._nested_loop_cost_block(spec, outer, inner, out_rows)
+            return self._nested_loop_cost_block(dop, outer, inner, out_rows)
         raise CostModelError(
             f"unsupported join method for block costing: {method}"
         )
@@ -492,41 +501,34 @@ class CostModel:
         block[..., _LOSS] = loss
         return block
 
-    def _hash_cost_block(self, spec, outer, inner, out_rows) -> np.ndarray:
+    def _hash_cost_block(self, dop, outer, inner, out_rows) -> np.ndarray:
         p = self.params
-        dop = spec.dop
-        l = outer.costs[:, None, :]
-        r = inner.costs[None, :, :]
+        l, r = outer.costs, inner.costs
         build_cpu = 2.0 * p.cpu_operator_cost * inner.rows
         probe_cpu = (
-            p.cpu_operator_cost * outer.rows[:, None]
-            + p.cpu_tuple_cost * out_rows
+            p.cpu_operator_cost * outer.rows + p.cpu_tuple_cost * out_rows
         )
-        local_cpu = build_cpu[None, :] + probe_cpu
+        local_cpu = build_cpu + probe_cpu
         io, cpu, disk, energy, loss = self._accumulate_block(
             l, r, dop, local_cpu, 0.0, 0.0
         )
         time = np.maximum(l[..., _TIME], r[..., _TIME]) + local_cpu / dop
-        startup = np.maximum(
-            l[..., _STARTUP], r[..., _TIME] + (build_cpu / dop)[None, :]
-        )
-        cores = np.maximum(l[..., _CORES] + r[..., _CORES], float(dop))
+        startup = np.maximum(l[..., _STARTUP], r[..., _TIME] + build_cpu / dop)
+        cores = np.maximum(l[..., _CORES] + r[..., _CORES], dop)
         hash_bytes = inner.out_bytes * 1.2
-        buffer = l[..., _BUFFER] + r[..., _BUFFER] + hash_bytes[None, :]
+        buffer = l[..., _BUFFER] + r[..., _BUFFER] + hash_bytes
         return self._pack_block(
             out_rows.shape, time, startup, io, cpu, cores, disk, buffer,
             energy, loss,
         )
 
-    def _merge_cost_block(self, spec, outer, inner, out_rows) -> np.ndarray:
+    def _merge_cost_block(self, dop, outer, inner, out_rows) -> np.ndarray:
         p = self.params
-        dop = spec.dop
-        l = outer.costs[:, None, :]
-        r = inner.costs[None, :, :]
+        l, r = outer.costs, inner.costs
         work_mem = p.work_mem
 
         def sort_terms(block: PlanBlock):
-            """(cpu, spill pages, spill bytes) vectors for one operand.
+            """(cpu, spill pages, spill bytes) columns for one operand.
 
             ``block.log2_rows`` already holds ``log2(max(rows, 2))``
             computed with the scalar formula's ``math.log2``.
@@ -544,66 +546,59 @@ class CostModel:
         sort_cpu_l, spill_pages_l, spill_bytes_l = sort_terms(outer)
         sort_cpu_r, spill_pages_r, spill_bytes_r = sort_terms(inner)
         merge_cpu = (
-            p.cpu_tuple_cost * (outer.rows[:, None] + inner.rows[None, :])
+            p.cpu_tuple_cost * (outer.rows + inner.rows)
             + p.cpu_tuple_cost * out_rows
         )
-        local_cpu = sort_cpu_l[:, None] + sort_cpu_r[None, :] + merge_cpu
-        local_io = spill_pages_l[:, None] + spill_pages_r[None, :]
-        spill_bytes = spill_bytes_l[:, None] + spill_bytes_r[None, :]
+        local_cpu = sort_cpu_l + sort_cpu_r + merge_cpu
+        local_io = spill_pages_l + spill_pages_r
+        spill_bytes = spill_bytes_l + spill_bytes_r
         io, cpu, disk, energy, loss = self._accumulate_block(
             l, r, dop, local_cpu, local_io, spill_bytes
         )
-        side_l = outer.costs[:, _TIME] + (
+        side_l = l[..., _TIME] + (
             sort_cpu_l + p.seq_page_cost * spill_pages_l
         ) / dop
-        side_r = inner.costs[:, _TIME] + (
+        side_r = r[..., _TIME] + (
             sort_cpu_r + p.seq_page_cost * spill_pages_r
         ) / dop
-        startup = np.maximum(side_l[:, None], side_r[None, :])
+        startup = np.maximum(side_l, side_r)
         time = startup + merge_cpu / dop
-        cores = np.maximum(l[..., _CORES] + r[..., _CORES], float(dop))
+        cores = np.maximum(l[..., _CORES] + r[..., _CORES], dop)
         buffer = (
             l[..., _BUFFER]
             + r[..., _BUFFER]
-            + np.minimum(outer.out_bytes, float(work_mem))[:, None]
-            + np.minimum(inner.out_bytes, float(work_mem))[None, :]
+            + np.minimum(outer.out_bytes, float(work_mem))
+            + np.minimum(inner.out_bytes, float(work_mem))
         )
         return self._pack_block(
             out_rows.shape, time, startup, io, cpu, cores, disk, buffer,
             energy, loss,
         )
 
-    def _nested_loop_cost_block(self, spec, outer, inner, out_rows) -> np.ndarray:
+    def _nested_loop_cost_block(self, dop, outer, inner, out_rows) -> np.ndarray:
         p = self.params
-        dop = spec.dop
-        l = outer.costs[:, None, :]
-        r = inner.costs[None, :, :]
+        l, r = outer.costs, inner.costs
         mat_cpu = p.cpu_tuple_cost * inner.rows
-        pair_cpu = (
-            (p.cpu_operator_cost * outer.rows)[:, None] * inner.rows[None, :]
-        )
-        local_cpu = mat_cpu[None, :] + pair_cpu + p.cpu_tuple_cost * out_rows
+        pair_cpu = p.cpu_operator_cost * outer.rows * inner.rows
+        local_cpu = mat_cpu + pair_cpu + p.cpu_tuple_cost * out_rows
         spills = inner.out_bytes > p.work_mem
-        spill_bytes_row = np.where(spills, inner.out_bytes, 0.0)
-        spill_pages_row = np.where(spills, inner.out_bytes / 8192.0, 0.0)
+        spill_bytes = np.where(spills, inner.out_bytes, 0.0)
+        spill_pages = np.where(spills, inner.out_bytes / 8192.0, 0.0)
         # Write the materialization once, re-read it per outer tuple.
-        outer_factor = 1.0 + np.maximum(outer.rows - 1.0, 0.0)
-        local_io = spill_pages_row[None, :] * outer_factor[:, None]
+        local_io = spill_pages * (1.0 + np.maximum(outer.rows - 1.0, 0.0))
         io, cpu, disk, energy, loss = self._accumulate_block(
-            l, r, dop, local_cpu, local_io, spill_bytes_row[None, :]
+            l, r, dop, local_cpu, local_io, spill_bytes
         )
         time = (
             np.maximum(l[..., _TIME], r[..., _TIME])
             + (local_cpu + p.seq_page_cost * local_io) / dop
         )
-        startup = np.maximum(
-            l[..., _STARTUP], r[..., _TIME] + (mat_cpu / dop)[None, :]
-        )
-        cores = np.maximum(l[..., _CORES] + r[..., _CORES], float(dop))
+        startup = np.maximum(l[..., _STARTUP], r[..., _TIME] + mat_cpu / dop)
+        cores = np.maximum(l[..., _CORES] + r[..., _CORES], dop)
         buffer = (
             l[..., _BUFFER]
             + r[..., _BUFFER]
-            + np.minimum(inner.out_bytes, float(p.work_mem))[None, :]
+            + np.minimum(inner.out_bytes, float(p.work_mem))
         )
         return self._pack_block(
             out_rows.shape, time, startup, io, cpu, cores, disk, buffer,
@@ -612,33 +607,34 @@ class CostModel:
 
     def index_nl_cost_block(
         self,
-        spec: JoinSpec,
+        specs: tuple[JoinSpec, ...],
         outer: PlanBlock,
-        probe: Plan,
+        probe: PlanBlock,
         out_rows: np.ndarray,
     ) -> np.ndarray:
-        """Batched :meth:`_index_nl_cost` over the outer operand.
+        """Batched :meth:`_index_nl_cost` (shapes as :meth:`join_cost_block`).
 
-        The index-probe inner is a single fixed plan, so the candidate
-        block is one-dimensional: ``out_rows`` has shape ``(n_outer,)``
-        and so does the first axis of the returned ``(n_outer, 9)``
-        block.
+        ``probe`` holds index-probe inners
+        (:meth:`PlanBlock.of_probes`), whose ``probe`` columns carry the
+        per-probe quantities the scalar formula reads from
+        ``probe_info``.
         """
-        if not isinstance(probe, ScanPlan) or probe.probe_info is None:
+        if probe.probe is None:
             raise CostModelError(
                 "index-nested-loop join requires an index-probe inner"
             )
         p = self.params
-        dop = spec.dop
-        info = probe.probe_info
-        l = outer.costs
-        r = np.asarray(probe.cost)
+        dop = _dop_column(specs, out_rows.ndim)
+        l, r = outer.costs, probe.costs
+        info = probe.probe
+        index_height, heap_pages = info[..., 0], info[..., 1]
+        matched_rows, residual_quals = info[..., 2], info[..., 3]
         probes = outer.rows
-        probe_io = probes * (info.index_height + info.heap_pages)
+        probe_io = probes * (index_height + heap_pages)
         probe_cpu = probes * (
-            p.cpu_index_tuple_cost * info.matched_rows
-            + p.cpu_tuple_cost * info.matched_rows
-            + p.cpu_operator_cost * info.matched_rows * info.residual_quals
+            p.cpu_index_tuple_cost * matched_rows
+            + p.cpu_tuple_cost * matched_rows
+            + p.cpu_operator_cost * matched_rows * residual_quals
         )
         local_cpu = probe_cpu + p.cpu_tuple_cost * out_rows
         io, cpu, disk, energy, loss = self._accumulate_block(
@@ -650,13 +646,19 @@ class CostModel:
         # Pipelined first-probe startup, clamped to total (see the
         # scalar formula's PONO note).
         startup = np.minimum(
-            l[..., _STARTUP]
-            + p.random_page_cost * (info.index_height + 1.0),
+            l[..., _STARTUP] + p.random_page_cost * (index_height + 1.0),
             time,
         )
-        cores = np.maximum(l[..., _CORES], float(dop))
+        cores = np.maximum(l[..., _CORES], dop)
         buffer = l[..., _BUFFER] + float(p.probe_buffer)
         return self._pack_block(
             out_rows.shape, time, startup, io, cpu, cores, disk, buffer,
             energy, loss,
         )
+
+
+def _dop_column(specs: tuple[JoinSpec, ...], ndim: int) -> np.ndarray:
+    """The specs' DOPs as floats on the leading axis of ``ndim`` axes."""
+    return np.array(
+        [spec.dop for spec in specs], dtype=float
+    ).reshape((len(specs),) + (1,) * (ndim - 1))

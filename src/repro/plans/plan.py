@@ -182,23 +182,28 @@ class JoinPlan(Plan):
 class PlanBlock:
     """Columnar (numpy) mirror of a sequence of plans for batched costing.
 
-    The vectorized enumerator (:mod:`repro.core.dp`) costs whole
-    ``spec x outer x inner`` candidate blocks at once; the batched cost
-    kernels (:meth:`repro.cost.model.CostModel.join_cost_block`) read
-    operand quantities from these arrays so the hot loop never touches
-    plan objects. ``plans`` keeps the originals in the same order —
-    surviving candidates carry ``(outer_idx, inner_idx)`` backpointers
-    into it, so materialization is a cheap gather.
+    The enumerator (:mod:`repro.core.dp`) costs whole candidate blocks
+    at once; the batched cost kernels
+    (:meth:`repro.cost.model.CostModel.join_cost_block`) read operand
+    quantities from these arrays so the hot loop never touches plan
+    objects. ``plans`` keeps the originals in the same order, so
+    surviving candidates materialize by index.
 
     ``log2_rows`` stores ``math.log2(max(rows, 2.0))`` per plan. It is
     precomputed here with the *same* ``math.log2`` call the scalar
     sort-merge cost formula makes (one call per stored plan instead of
     one per candidate), which both removes a transcendental from the
-    kernel and keeps the batched path bit-for-bit identical to the
-    scalar one — ``np.log2`` is not guaranteed to round like libm.
+    kernel and keeps the kernels bit-for-bit identical to the scalar
+    formulas — ``np.log2`` is not guaranteed to round like libm.
+
+    ``probe`` is ``None`` except in blocks of index-probe inners (see
+    :meth:`of_probes`), where row ``k`` holds ``(index_height,
+    heap_pages, matched_rows, residual_quals)`` of plan ``k``.
     """
 
-    __slots__ = ("plans", "costs", "rows", "out_bytes", "log2_rows")
+    __slots__ = ("plans", "costs", "rows", "out_bytes", "log2_rows", "probe")
+
+    _COLUMNS = ("costs", "rows", "out_bytes", "log2_rows", "probe")
 
     def __init__(self, plans: Sequence["Plan"]) -> None:
         count = len(plans)
@@ -207,6 +212,7 @@ class PlanBlock:
         self.rows = np.empty(count)
         self.out_bytes = np.empty(count)
         self.log2_rows = np.empty(count)
+        self.probe: np.ndarray | None = None
         for position, plan in enumerate(self.plans):
             self.costs[position] = plan.cost
             rows = plan.rows
@@ -214,21 +220,52 @@ class PlanBlock:
             self.out_bytes[position] = rows * plan.width
             self.log2_rows[position] = math.log2(max(rows, 2.0))
 
+    @classmethod
+    def of_probes(cls, probes: Sequence["ScanPlan"]) -> "PlanBlock":
+        """Block of index-probe inners, with their ``probe`` columns."""
+        block = cls(probes)
+        block.probe = np.array([
+            (info.index_height, info.heap_pages, info.matched_rows,
+             info.residual_quals)
+            for info in (probe.probe_info for probe in probes)
+        ], dtype=float).reshape(len(probes), 4)
+        return block
+
     def __len__(self) -> int:
-        return len(self.plans)
+        return len(self.rows)
 
     def slice(self, start: int, stop: int) -> "PlanBlock":
-        """Zero-copy view of rows ``[start, stop)``.
+        """Rows ``[start, stop)``, plans included (numpy views)."""
+        block = self.take(np.s_[start:stop])
+        block.plans = self.plans[start:stop]
+        return block
 
-        Used to chunk the outer axis of large candidate blocks; numpy
-        slices are views, so no mirror data is duplicated.
+    def take(self, index) -> "PlanBlock":
+        """Columns at ``index`` (any numpy index), without ``plans``.
+
+        Shapes operand columns for the kernels, which broadcast them
+        elementwise: ``np.s_[:, None]`` and ``np.s_[None]`` give the
+        axes of an ``outer x inner`` block, an integer array gathers
+        one row per candidate.
         """
         block = object.__new__(PlanBlock)
-        block.plans = self.plans[start:stop]
-        block.costs = self.costs[start:stop]
-        block.rows = self.rows[start:stop]
-        block.out_bytes = self.out_bytes[start:stop]
-        block.log2_rows = self.log2_rows[start:stop]
+        block.plans = ()
+        for name in self._COLUMNS:
+            column = getattr(self, name)
+            setattr(block, name, None if column is None else column[index])
+        return block
+
+    @staticmethod
+    def concatenate(blocks: Sequence["PlanBlock"]) -> "PlanBlock":
+        """The columns of ``blocks`` stacked in order, without ``plans``."""
+        block = object.__new__(PlanBlock)
+        block.plans = ()
+        for name in PlanBlock._COLUMNS:
+            columns = [getattr(part, name) for part in blocks]
+            setattr(
+                block, name,
+                None if columns[0] is None else np.concatenate(columns),
+            )
         return block
 
 

@@ -1,20 +1,31 @@
-"""Test helpers: a brute-force plan enumerator as ground truth.
+"""Test helpers: ground-truth enumerators.
 
-The enumerator generates *every* plan the DP search space contains
-(same splits, operators and access paths, no pruning). Tests compare
-EXA/RTA/IRA results against frontiers and optima computed from this
-exhaustive set.
+:func:`enumerate_all_plans` generates *every* plan the DP search space
+contains (same splits, operators and access paths, no pruning). Tests
+compare EXA/RTA/IRA results against frontiers and optima computed from
+this exhaustive set.
+
+:class:`ReferenceDPRun` is the per-candidate DP: one scalar
+``join_cost`` call and one coverage check per candidate, in the order
+the batched enumerator of :mod:`repro.core.dp` promises. Its plan sets
+are what the batched path must reproduce bit for bit;
+:func:`reference_enumeration` runs the algorithm entry points on it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import importlib
 from itertools import combinations
+from unittest import mock
 
 from repro.config import OptimizerConfig
+from repro.core.dp import DPRun
+from repro.core.pruning import PlanSet
 from repro.cost import cardinality
 from repro.cost.model import CostModel
 from repro.plans.operators import JoinMethod
-from repro.plans.plan import Plan
+from repro.plans.plan import JoinPlan, Plan
 from repro.plans.plan_space import PlanSpace
 from repro.query.join_graph import JoinGraph
 from repro.query.query import Query
@@ -105,3 +116,81 @@ def all_alias_subsets(query: Query):
     for size in range(1, len(aliases) + 1):
         for combo in combinations(aliases, size):
             yield frozenset(combo)
+
+
+class ReferenceDPRun(DPRun):
+    """Per-candidate reference for the batched enumerator.
+
+    Builds composite table sets one candidate at a time — scalar
+    ``join_cost``, then ``covers`` and ``force_insert`` — over the same
+    operand pairs and in the same order as the batched path. After a
+    timeout, the remaining pairs join each operand's best weighted
+    plan. It never counts ``candidates_vectorized``.
+    """
+
+    def _build_level(self, masks, sets):
+        built = []
+        for mask in masks:
+            target = self._new_set()
+            for pair in self._operand_pairs(mask, sets):
+                self._combine_pair(target, pair)
+            built.append((mask, target, self._timed_out))
+        return built
+
+    def _combine_pair(self, target: PlanSet, pair) -> None:
+        if self._timed_out:
+            outer_plans = [pair.outer.best_weighted(self.weights)[1]]
+            inner_plans = [pair.inner.best_weighted(self.weights)[1]]
+        else:
+            outer_plans = [plan for _, plan in pair.outer]
+            inner_plans = [plan for _, plan in pair.inner]
+        candidates = [
+            (spec, left, right)
+            for spec in pair.specs
+            for left in outer_plans
+            for right in inner_plans
+        ] + [
+            (spec, left, probe)
+            for probe in pair.probes
+            for spec in pair.index_specs
+            for left in outer_plans
+        ]
+        for spec, left, right in candidates:
+            if not self._consider_join(target, spec, left, right,
+                                       pair.selectivity):
+                return
+
+    def _consider_join(self, target, spec, left, right, selectivity) -> bool:
+        """One candidate; returns False once the deadline check trips."""
+        out_rows = left.rows * right.rows * selectivity
+        cost = self.cost_model.join_cost(spec, left, right, out_rows)
+        self.counters.plans_considered += 1
+        projected = tuple(cost[i] for i in self._all_indices)
+        if self.include_rows:
+            projected += (out_rows,)
+        if not target.covers(projected):
+            target.force_insert(projected, JoinPlan(
+                spec, left, right, out_rows, left.width + right.width,
+                cost, cost[8],
+            ))
+        self._since_check += 1
+        if self._since_check >= self._check_interval:
+            self._since_check = 0
+            timed_out = self._timed_out
+            self._check_deadline()
+            return timed_out or not self._timed_out
+        return True
+
+
+@contextlib.contextmanager
+def reference_enumeration():
+    """Run the EXA, RTA, IRA and Selinger entry points on the reference."""
+    with contextlib.ExitStack() as stack:
+        for name in ("exa", "ira", "rta", "selinger"):
+            # The package re-exports functions under these names, so
+            # import the modules themselves.
+            module = importlib.import_module(f"repro.core.{name}")
+            stack.enter_context(
+                mock.patch.object(module, "DPRun", ReferenceDPRun)
+            )
+        yield

@@ -1,6 +1,8 @@
 """Baselines: weighted-sum scalar pruning and iterative DP (IDP)."""
 
+import dataclasses
 import random
+import time
 
 import pytest
 
@@ -106,6 +108,25 @@ class TestIdp:
             if hasattr(node, "alias") and not node.alias.startswith("__idp")
         }
         assert base_aliases == set(query.aliases)
+
+    def test_blocked_run_credits_enumeration_time(self, setup):
+        model, query, _ = setup
+        prefs = Preferences(objectives=OBJECTIVES, weights=(1.0, 1e-6, 5.0))
+        result = idp_moqo(query, model, prefs, alpha_u=1.5, block_size=2,
+                          config=TINY_CONFIG)
+        assert result.phase_ms["enumerate"] > 0
+
+    def test_fallback_sets_do_not_count_as_complete(self, setup):
+        """After a timeout, table sets built in single-plan mode are not
+        "treated completely" (Section 5.1's Pareto-plan metric)."""
+        model, query, _ = setup
+        prefs = Preferences(objectives=OBJECTIVES, weights=(1.0, 1e-6, 5.0))
+        config = dataclasses.replace(TINY_CONFIG, timeout_check_interval=1)
+        result = idp_moqo(query, model, prefs, alpha_u=1.5, block_size=2,
+                          config=config, deadline=time.perf_counter() - 1.0)
+        assert result.timed_out
+        assert result.plan is not None
+        assert result.pareto_last_complete == 0
 
     def test_plan_cost_reasonable(self, setup):
         model, query, all_plans = setup

@@ -7,7 +7,7 @@ vector (the local building block of Theorem 3).
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.pruning import AggressivePlanSet, PlanSet, SingleBestPlanSet
 from repro.cost.vector import approx_dominates, dominates, strictly_dominates
@@ -18,6 +18,10 @@ vectors = st.tuples(
     st.floats(0.1, 100, allow_nan=False),
 )
 vector_lists = st.lists(vectors, min_size=1, max_size=60)
+
+#: Inserted at alpha 1.5, these leave two entries in the approximate
+#: set and one in the exact set.
+NOT_SMALLER_THAN_EXACT = [(2.0, 4.0, 2.0), (2.0, 2.0, 3.0), (2.0, 2.0, 2.0)]
 
 
 class TestExactPlanSet:
@@ -125,14 +129,35 @@ class TestApproximatePlanSet:
             )
 
     @given(vector_lists, st.floats(1.0, 3.0))
+    @example(NOT_SMALLER_THAN_EXACT, 1.5)
     @settings(max_examples=50, deadline=None)
-    def test_stores_no_more_than_exact(self, inserted, alpha):
+    def test_alpha_covers_exact_frontier(self, inserted, alpha):
+        """The bound the paper gives: every inserted vector, and so every
+        entry of the exact frontier, is alpha-covered by a kept entry.
+        It does not bound the set's size (see the next test)."""
         exact = PlanSet()
         approx = PlanSet(alpha=alpha)
         for index, vector in enumerate(inserted):
             exact.insert(vector, index)
             approx.insert(vector, index)
-        assert len(approx) <= len(exact)
+        for vector in list(inserted) + exact.costs:
+            assert any(
+                approx_dominates(c, vector, alpha * (1 + 1e-12))
+                for c in approx.costs
+            )
+
+    def test_may_store_more_than_exact(self):
+        """A documented non-property: the insert and delete rules do not
+        keep the approximate set at most as large as the exact one.
+        (2, 2, 2) is rejected as 1.5-covered by (2, 2, 3), so (2, 2, 3)
+        is never deleted, while the exact set keeps only (2, 2, 2)."""
+        exact = PlanSet()
+        approx = PlanSet(alpha=1.5)
+        for index, vector in enumerate(NOT_SMALLER_THAN_EXACT):
+            exact.insert(vector, index)
+            approx.insert(vector, index)
+        assert exact.costs == [(2.0, 2.0, 2.0)]
+        assert approx.costs == [(2.0, 4.0, 2.0), (2.0, 2.0, 3.0)]
 
 
 class TestAggressivePlanSet:

@@ -1,19 +1,22 @@
-"""The scalar/vectorized equivalence contract (see repro.core.dp).
+"""The batched enumerator's equivalence contract (see repro.core.dp).
 
 The batched enumeration path must be **bit-for-bit** identical to the
-scalar per-candidate loop: same frontier cost tuples in the same order,
+per-candidate reference loop (``tests/helpers.py``'s
+:class:`ReferenceDPRun`): same frontier cost tuples in the same order,
 same chosen plan, same counters. Hypothesis generates random join
 graphs (chain and star topologies, random statistics and selectivities)
 and the contract is checked for EXA, RTA and strict mode
 (``exact_suffix > 0``); further tests cover the batched cost kernels
-on tuple losses below 1/2, which the default sampling rates never
-produce, the block primitives on :class:`~repro.core.pruning.PlanSet`
-directly, the timeout fallback tripping mid-block, and the ablation
-variants that must *not* take the block path.
+against the scalar formulas (on tuple losses below 1/2, which the
+default sampling rates never produce, and on gathered and broadcast
+operand shapes), the block primitives on
+:class:`~repro.core.pruning.PlanSet` and its variants directly, and the
+timeout fallback tripping mid-block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 
@@ -35,6 +38,7 @@ from repro import (
     TableRef,
     build_schema,
 )
+from repro.core import dp
 from repro.core.exa import exact_moqo
 from repro.core.ira import ira
 from repro.core.pruning import (
@@ -52,6 +56,7 @@ from repro.plans.plan import PlanBlock, ScanPlan
 from repro.query.tpch_queries import tpch_query
 
 from tests.conftest import make_chain_query, make_small_schema
+from tests.helpers import reference_enumeration
 
 #: Compact operator space so each Hypothesis example stays fast while
 #: still exercising every join method, sampling, and DOP > 1.
@@ -65,10 +70,6 @@ OBJECTIVES = (
     Objective.BUFFER_FOOTPRINT,
     Objective.TUPLE_LOSS,
 )
-
-
-def scalar_config(config: OptimizerConfig) -> OptimizerConfig:
-    return dataclasses.replace(config, vectorized_enumeration=False)
 
 
 @st.composite
@@ -125,7 +126,8 @@ def join_graph_instances(draw):
 
 
 def assert_bitwise_equal(vectorized, scalar):
-    """Frontier (order included), plan and counters must match exactly."""
+    """Frontier (order included), plan and counters must match exactly;
+    ``scalar`` is the reference enumerator's result."""
     assert [c for c, _ in vectorized.frontier] == [
         c for c, _ in scalar.frontier
     ]
@@ -147,7 +149,8 @@ def test_exa_bitwise_equivalence_on_random_join_graphs(instance):
     model = CostModel(schema)
     prefs = Preferences(objectives=OBJECTIVES, weights=weights)
     vectorized = exact_moqo(query, model, prefs, SMALL_CONFIG)
-    scalar = exact_moqo(query, model, prefs, scalar_config(SMALL_CONFIG))
+    with reference_enumeration():
+        scalar = exact_moqo(query, model, prefs, SMALL_CONFIG)
     assert_bitwise_equal(vectorized, scalar)
 
 
@@ -162,7 +165,8 @@ def test_rta_bitwise_equivalence_on_random_join_graphs(instance, alpha):
     model = CostModel(schema)
     prefs = Preferences(objectives=OBJECTIVES, weights=weights)
     vectorized = rta(query, model, prefs, alpha, SMALL_CONFIG)
-    scalar = rta(query, model, prefs, alpha, scalar_config(SMALL_CONFIG))
+    with reference_enumeration():
+        scalar = rta(query, model, prefs, alpha, SMALL_CONFIG)
     assert_bitwise_equal(vectorized, scalar)
 
 
@@ -180,9 +184,8 @@ def test_strict_mode_bitwise_equivalence(instance):
     model = CostModel(schema)
     prefs = Preferences(objectives=OBJECTIVES, weights=weights)
     vectorized = rta(query, model, prefs, 1.5, SMALL_CONFIG, strict=True)
-    scalar = rta(
-        query, model, prefs, 1.5, scalar_config(SMALL_CONFIG), strict=True
-    )
+    with reference_enumeration():
+        scalar = rta(query, model, prefs, 1.5, SMALL_CONFIG, strict=True)
     assert_bitwise_equal(vectorized, scalar)
 
 
@@ -201,20 +204,43 @@ def test_tpch_equivalence_all_algorithms():
         weights=(1.0, 1e-6, 1e4),
         bounds=(float("inf"), float("inf"), 0.2),
     )
-    vec, sca = SMALL_CONFIG, scalar_config(SMALL_CONFIG)
-    pairs = [
-        (exact_moqo(query, model, prefs, vec),
-         exact_moqo(query, model, prefs, sca)),
-        (rta(query, model, prefs, 2.0, vec),
-         rta(query, model, prefs, 2.0, sca)),
-        (ira(query, model, bounded, 2.0, vec),
-         ira(query, model, bounded, 2.0, sca)),
-        (selinger(query, model, Objective.TOTAL_TIME, vec),
-         selinger(query, model, Objective.TOTAL_TIME, sca)),
-    ]
-    for vectorized, scalar in pairs:
+    def run_all():
+        return [
+            exact_moqo(query, model, prefs, SMALL_CONFIG),
+            rta(query, model, prefs, 2.0, SMALL_CONFIG),
+            ira(query, model, bounded, 2.0, SMALL_CONFIG),
+            selinger(query, model, Objective.TOTAL_TIME, SMALL_CONFIG),
+        ]
+
+    batched = run_all()
+    with reference_enumeration():
+        reference = run_all()
+    for vectorized, scalar in zip(batched, reference):
         assert_bitwise_equal(vectorized, scalar)
-    assert pairs[0][0].candidates_vectorized > 0
+        assert vectorized.candidates_vectorized > 0
+
+
+@pytest.mark.parametrize("max_block, run_rows, accept_rows", [
+    (64, 16, 7),       # every large pair chunked, short runs and slices
+    (1 << 20, 1 << 20, 1 << 20),   # whole pairs, long runs, one slice
+])
+def test_block_boundaries_do_not_change_results(
+    monkeypatch, max_block, run_rows, accept_rows
+):
+    """Where the batched path cuts candidates into kernel calls, runs
+    and block_accept slices is a performance choice only."""
+    from repro.catalog.tpch import tpch_schema
+
+    monkeypatch.setattr(dp, "_MAX_BLOCK_ROWS", max_block)
+    monkeypatch.setattr(dp, "_RUN_ROWS", run_rows)
+    monkeypatch.setattr(dp, "_ACCEPT_ROWS", accept_rows)
+    model = CostModel(tpch_schema())
+    query = tpch_query(5).main_block
+    prefs = Preferences(objectives=OBJECTIVES, weights=(1.0, 1e-6, 1e4))
+    batched = exact_moqo(query, model, prefs, SMALL_CONFIG)
+    with reference_enumeration():
+        reference = exact_moqo(query, model, prefs, SMALL_CONFIG)
+    assert_bitwise_equal(batched, reference)
 
 
 #: Tuple losses on both sides of 1/2, where the cost model switches
@@ -229,8 +255,10 @@ KERNEL_LOSSES = (0.0, 2.220446049250313e-16, 3.0531133177191805e-16,
     JoinMethod.INDEX_NESTED_LOOP,
 ], ids=lambda m: m.name)
 def test_cost_kernels_match_scalar_on_small_losses(method):
-    """The batched kernels reproduce the scalar tuple-loss formula bit
-    for bit on every loss pair, not only on sampled losses."""
+    """The batched kernels reproduce the scalar formulas bit for bit on
+    every loss pair, at every DOP of one call, on both operand shapes
+    the enumerator uses: an ``outer x inner`` broadcast and flat
+    per-candidate gathers."""
     schema = make_small_schema()
     model = CostModel(schema)
     query = make_chain_query(2)
@@ -244,22 +272,49 @@ def test_cost_kernels_match_scalar_on_small_losses(method):
     plans = [leaf(position, loss)
              for position, loss in enumerate(KERNEL_LOSSES)]
     block = PlanBlock(plans)
-    spec = JoinSpec(method, dop=2)
+    specs = tuple(JoinSpec(method, dop=dop) for dop in (1, 2, 3))
+
+    def per_spec(out_rows):
+        return np.broadcast_to(out_rows, (len(specs),) + out_rows.shape)
+
     if method is JoinMethod.INDEX_NESTED_LOOP:
         probe = model.index_probe_plan(query, "orders", "orders_user_idx",
                                        "user_id")
+        probes = PlanBlock.of_probes([probe])
         out_rows = block.rows * 0.5
-        batched = model.index_nl_cost_block(spec, block, probe, out_rows)
+        batched = model.index_nl_cost_block(
+            specs, block, probes, per_spec(out_rows)
+        )
         pairs = [((i,), plan, probe) for i, plan in enumerate(plans)]
+        gathered = model.index_nl_cost_block(
+            specs, block, probes.take(np.zeros(len(plans), dtype=int)),
+            per_spec(out_rows),
+        )
+        assert np.array_equal(gathered, batched)
     else:
-        out_rows = block.rows[:, None] * block.rows[None, :] * 0.01
-        batched = model.join_cost_block(spec, block, block, out_rows)
+        outer, inner = block.take(np.s_[:, None]), block.take(np.s_[None])
+        out_rows = outer.rows * inner.rows * 0.01
+        batched = model.join_cost_block(specs, outer, inner,
+                                        per_spec(out_rows))
         pairs = [((i, j), left, right)
                  for i, left in enumerate(plans)
                  for j, right in enumerate(plans)]
-    for index, left, right in pairs:
-        scalar = model.join_cost(spec, left, right, float(out_rows[index]))
-        assert tuple(batched[index].tolist()) == scalar, index
+        outer_index, inner_index = np.divmod(
+            np.arange(len(plans) ** 2), len(plans)
+        )
+        gathered = model.join_cost_block(
+            specs, block.take(outer_index), block.take(inner_index),
+            per_spec(out_rows.reshape(-1)),
+        )
+        assert np.array_equal(
+            gathered, batched.reshape(len(specs), -1, 9)
+        )
+    assert batched.shape == (len(specs),) + out_rows.shape + (9,)
+    for s, spec in enumerate(specs):
+        for index, left, right in pairs:
+            scalar = model.join_cost(spec, left, right,
+                                     float(out_rows[index]))
+            assert tuple(batched[(s,) + index].tolist()) == scalar, index
 
 
 # ----------------------------------------------------------------------
@@ -398,48 +453,82 @@ def test_single_best_block_accept_is_prefix_minimum():
     assert keep.tolist() == [False, True, False, True]
 
 
-def test_aggressive_plan_set_opts_out_of_block_path():
+def test_aggressive_block_accept_replays_sequential_inserts():
     """The aggressive ablation variant discards approximately dominated
-    entries, which breaks the block determinism contract — it must run
-    scalar, reporting zero vectorized candidates."""
-    assert AggressivePlanSet.vectorizable is False
-    assert PlanSet.vectorizable is True
+    entries, so a later candidate's coverage depends on earlier
+    discards; its block_accept replays that loop, and block_accept +
+    ordered force_insert must equal the sequential insert loop."""
+    rng = np.random.default_rng(5)
+    candidates = rng.uniform(0.1, 10.0, size=(400, 3))
+    # Near-duplicates make approximate discards (and re-coverage) common.
+    candidates[200:] = candidates[:200] * rng.uniform(
+        0.85, 1.15, size=(200, 3)
+    )
+    # Row 50 approximately (not exactly) dominates row 49 and discards
+    # it, so row 51, covered only by row 49, is accepted.
+    candidates[49:52] = [
+        (0.02, 0.02, 0.02), (0.01, 0.025, 0.02), (0.016, 0.016, 0.016)
+    ]
+    sequential = AggressivePlanSet(alpha=1.3)
+    batched = AggressivePlanSet(alpha=1.3)
+    for position, row in enumerate(candidates[:50]):
+        sequential.insert(tuple(row.tolist()), position)
+        batched.insert(tuple(row.tolist()), position)
+    for position, row in enumerate(candidates[50:], start=50):
+        sequential.insert(tuple(row.tolist()), position)
+    keep = batched.block_accept(candidates[50:])
+    assert keep[:2].all()
+    assert 0 < keep.sum() < 350
+    for position in np.nonzero(keep)[0]:
+        batched.force_insert(
+            tuple(candidates[50 + position].tolist()), int(50 + position)
+        )
+    assert batched.costs == sequential.costs
+    assert [plan for _, plan in batched.entries] == [
+        plan for _, plan in sequential.entries
+    ]
 
+
+def test_aggressive_plan_set_matches_reference_enumeration():
     from repro.catalog.tpch import tpch_schema
 
     model = CostModel(tpch_schema())
     query = tpch_query(3).main_block
     prefs = Preferences(objectives=OBJECTIVES, weights=(1.0, 1e-6, 1e4))
-    result = rta(
-        query, model, prefs, 2.0, SMALL_CONFIG,
-        plan_set_factory=lambda: AggressivePlanSet(alpha=1.1),
-    )
-    assert result.candidates_vectorized == 0
-    assert result.plans_considered > 0
+
+    def run():
+        return rta(
+            query, model, prefs, 2.0, SMALL_CONFIG,
+            plan_set_factory=lambda: AggressivePlanSet(alpha=1.1),
+        )
+
+    batched = run()
+    with reference_enumeration():
+        reference = run()
+    assert_bitwise_equal(batched, reference)
+    assert batched.candidates_vectorized > 0
 
 
 # ----------------------------------------------------------------------
 # Timeout fallback mid-block
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_timeout_fallback_trips_mid_block(vectorized):
+@pytest.mark.parametrize("batched", [True, False])
+def test_timeout_fallback_trips_mid_block(batched):
     """A deadline that passes during enumeration must degrade the rest
-    of the run to the single-plan fallback on both paths — the batch
-    path checks between blocks, so a mid-block trip abandons the
-    remaining specs exactly like the scalar loop's mid-iteration
-    return."""
+    of the run to the single-plan fallback, on the batched path and on
+    the reference loop — the batched path checks between blocks, so a
+    mid-block trip abandons the rest of the pair like the reference's
+    mid-iteration return, and the remaining pairs join one-row blocks
+    of each operand's best weighted plan."""
     from repro.catalog.tpch import tpch_schema
 
-    config = dataclasses.replace(
-        SMALL_CONFIG,
-        vectorized_enumeration=vectorized,
-        timeout_check_interval=1,
-    )
+    config = dataclasses.replace(SMALL_CONFIG, timeout_check_interval=1)
     model = CostModel(tpch_schema())
     query = tpch_query(5).main_block
     prefs = Preferences(objectives=OBJECTIVES, weights=(1.0, 1e-6, 1e4))
     deadline = time.perf_counter() + 0.02  # expires inside the DP
-    result = exact_moqo(query, model, prefs, config, deadline=deadline)
+    with contextlib.nullcontext() if batched else reference_enumeration():
+        result = exact_moqo(query, model, prefs, config, deadline=deadline)
     assert result.timed_out
     assert result.deadline_hit
     # The fallback still produces a complete (single) plan.
