@@ -26,18 +26,21 @@ quantify what the approximation schemes buy:
 
 from __future__ import annotations
 
-import time as _time
-
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
-from repro.core.dp import DPRun, deadline_exceeded, strip_entries
+from repro.core.dp import DPRun, strip_entries
 from repro.core.instrumentation import Counters
 from repro.core.preferences import Preferences
-from repro.core.pruning import PlanSet, SingleBestPlanSet
+from repro.core.pruning import SingleBestPlanSet
 from repro.core.result import OptimizationResult
-from repro.core.rta import internal_precision
+from repro.core.rta import (
+    internal_precision,
+    optimize_block,
+    package_result,
+    start_clock,
+)
 from repro.core.select_best import select_best
 from repro.cost.model import CostModel
-from repro.cost.vector import project, weighted_cost
+from repro.cost.vector import weighted_cost
 from repro.exceptions import OptimizerError
 from repro.plans.plan import Plan
 from repro.query.join_graph import JoinGraph
@@ -62,42 +65,10 @@ def weighted_sum_baseline(
         raise OptimizerError(
             "the weighted-sum baseline ignores bounds; use the IRA"
         )
-    start = _time.perf_counter()
-    if deadline is None and config.timeout_seconds is not None:
-        deadline = start + config.timeout_seconds
-    counters = Counters()
-    weights = preferences.weights
-    run = DPRun(
-        query=query,
-        cost_model=cost_model,
-        config=config,
-        indices=preferences.indices,
-        weights=weights,
-        alpha_internal=1.0,
-        plan_set_factory=lambda: SingleBestPlanSet(weights),
-        deadline=deadline,
-        counters=counters,
-    )
-    sets = run.run()
-    final_set = sets[run.graph.full_mask]
-    best = select_best(final_set, preferences)
-    elapsed_ms = (_time.perf_counter() - start) * 1000.0
-    return OptimizationResult(
-        algorithm="wsum",
-        query_name=query.name,
-        preferences=preferences,
-        plan=best[1] if best else None,
-        plan_cost=best[0] if best else None,
-        frontier=tuple(final_set),
-        optimization_time_ms=elapsed_ms,
-        memory_kb=counters.memory_kb,
-        pareto_last_complete=counters.pareto_last_complete,
-        plans_considered=counters.plans_considered,
-        candidates_vectorized=counters.candidates_vectorized,
-        timed_out=counters.timed_out,
+    return optimize_block(
+        "wsum", query, cost_model, preferences, 1.0, config, deadline,
         alpha=None,
-        deadline_hit=counters.timed_out or deadline_exceeded(deadline),
-        phase_ms=counters.phase_ms() if config.phase_timers else {},
+        plan_set_factory=lambda: SingleBestPlanSet(preferences.weights),
     )
 
 
@@ -151,11 +122,8 @@ def idp_moqo(
     """
     if block_size < 2:
         raise OptimizerError(f"block size must be >= 2, got {block_size}")
-    start = _time.perf_counter()
-    if deadline is None and config.timeout_seconds is not None:
-        deadline = start + config.timeout_seconds
-
-    counters_total = Counters()
+    start, deadline = start_clock(config, deadline)
+    counters = Counters()
     committed: dict[str, Plan] = {}  # virtual alias -> committed plan
     current = query
     rounds = 0
@@ -176,11 +144,11 @@ def idp_moqo(
             virtual_leaves=committed,
         )
         sets = run.run()
-        counters_total.merge_peak(run.counters)
+        counters.merge_peak(run.counters)
         full_mask = run.graph.full_mask
         if full_mask in sets and len(sets[full_mask]):
-            final_set = strip_entries(sets[full_mask], run.projection_width)
-            best = select_best(final_set, preferences)
+            frontier = strip_entries(sets[full_mask], run.projection_width)
+            best = select_best(frontier, preferences)
             break
         # Commit the best weighted plan of a largest optimized subset.
         best_mask, best_plan = _best_committable(sets, preferences)
@@ -190,26 +158,9 @@ def idp_moqo(
             current, run.graph, best_mask, virtual_alias, cost_model
         )
 
-    elapsed_ms = (_time.perf_counter() - start) * 1000.0
-    return OptimizationResult(
-        algorithm="idp",
-        query_name=query.name,
-        preferences=preferences,
-        plan=best[1] if best else None,
-        plan_cost=best[0] if best else None,
-        frontier=tuple(final_set),
-        optimization_time_ms=elapsed_ms,
-        memory_kb=counters_total.memory_kb,
-        pareto_last_complete=counters_total.pareto_last_complete,
-        plans_considered=counters_total.plans_considered,
-        candidates_vectorized=counters_total.candidates_vectorized,
-        timed_out=counters_total.timed_out,
-        iterations=rounds,
-        alpha=None,
-        deadline_hit=counters_total.timed_out or deadline_exceeded(deadline),
-        phase_ms=(
-            counters_total.phase_ms() if config.phase_timers else {}
-        ),
+    return package_result(
+        "idp", query, preferences, config, start, deadline, frontier, best,
+        counters, None, iterations=rounds,
     )
 
 

@@ -51,7 +51,6 @@ import numpy as np
 from repro.config import OptimizerConfig, PlanShape
 from repro.core.instrumentation import Counters
 from repro.core.pruning import PlanSet, SingleBestPlanSet
-from repro.obs.trace import active_tracer
 from repro.cost.model import CostModel
 from repro.cost.vector import project
 from repro.plans.operators import JoinMethod, JoinSpec
@@ -144,16 +143,6 @@ def strip_entries(entries, width: int):
     return [(cost[:width], plan) for cost, plan in entries]
 
 
-def deadline_exceeded(deadline: float | None) -> bool:
-    """Whether an absolute ``perf_counter`` deadline has already passed.
-
-    Algorithms call this once at the end of a run to report
-    ``deadline_hit`` even when the enumeration's coarse periodic check
-    (every ``timeout_check_interval`` candidates) never fired.
-    """
-    return deadline is not None and _time.perf_counter() > deadline  # lint-allow: REP001 deadline check only; never feeds plan choice
-
-
 class DPRun:
     """One bottom-up enumeration over a single query block."""
 
@@ -232,14 +221,11 @@ class DPRun:
         :meth:`_build_level`. When phase timing is on, the run's wall
         time minus whatever the block path charged to
         kernel/prune/materialize is credited to ``enumeration_ms`` — the
-        phases stay disjoint and sum to the DP wall time. When a tracer
-        is active, one span per DP level records where enumeration time
-        went level by level.
+        phases stay disjoint and sum to the DP wall time.
         """
         masks = self._table_sets()
         counters = self.counters
         counters.table_sets_total = len(masks)
-        tracer = active_tracer()
         timers = self._phase_timers
         run_start = _time.perf_counter() if timers else 0.0  # lint-allow: REP001 phase timer; measured, never decided on
         sub_phase_before = (
@@ -247,11 +233,6 @@ class DPRun:
         )
         sets: dict[int, PlanSet] = {}
         for size, level in groupby(masks, key=int.bit_count):
-            level_span = None
-            if tracer is not None:
-                level_span = tracer.begin(f"dp_level_{size}", "dp_level",
-                                          tables=size)
-            plans_before = counters.plans_considered
             if size == 1:
                 # The timeout flag is read after each set is built.
                 built = [(mask, self._build_singleton(mask), self._timed_out)
@@ -264,11 +245,6 @@ class DPRun:
                 # enumeration for it ran before the timeout.
                 counters.complete_table_set(mask, len(plan_set),
                                             fallback=fallback)
-            if level_span is not None:
-                level_span.set(
-                    plans_considered=counters.plans_considered - plans_before,
-                )
-                level_span.finish()
         if timers:
             wall_ms = (_time.perf_counter() - run_start) * 1000.0  # lint-allow: REP001 phase timer; measured, never decided on
             sub_phase_ms = (

@@ -113,14 +113,19 @@ class Counters:
             "materialize": self.materialize_ms,
         }
 
-    def merge_peak(self, other: "Counters") -> None:
-        """Fold another run's peaks into this one (multi-block queries)."""
+    def add_work(self, other: "Counters") -> None:
+        """Add another run's plans considered and phase time to this one."""
         self.plans_considered += other.plans_considered
         self.candidates_vectorized += other.candidates_vectorized
         self.enumeration_ms += other.enumeration_ms
         self.kernel_ms += other.kernel_ms
         self.pruning_ms += other.pruning_ms
         self.materialize_ms += other.materialize_ms
+
+    def merge_peak(self, other: "Counters") -> None:
+        """Fold another run into this one: work adds up, peaks take
+        the maximum (the IDP's rounds)."""
+        self.add_work(other)
         self.plans_stored_peak = max(
             self.plans_stored_peak, other.plans_stored_peak
         )

@@ -27,15 +27,13 @@ and loses on timeouts instead of assuming IRA <= EXA.
 
 from __future__ import annotations
 
-import time as _time
 from typing import Callable
 
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
-from repro.core.dp import DPRun, deadline_exceeded, strict_closure, strip_entries
 from repro.core.instrumentation import Counters
 from repro.core.preferences import Preferences
 from repro.core.result import OptimizationResult
-from repro.core.rta import internal_precision
+from repro.core.rta import find_pareto_plans, package_result, start_clock
 from repro.core.select_best import select_best
 from repro.cost.model import CostModel
 from repro.cost.vector import respects_relaxed_bounds, weighted_cost
@@ -111,23 +109,15 @@ def ira(
     """
     if alpha_u < 1.0:
         raise InvalidPrecisionError(alpha_u)
-    start = _time.perf_counter()
-    if deadline is None and config.timeout_seconds is not None:
-        deadline = start + config.timeout_seconds
-
-    num_tables = query.num_tables
-    bounds = preferences.bounds
-    weights = preferences.weights
-    total_considered = 0
-    total_vectorized = 0
-    # Counters are reset each iteration (memory is reported for the
-    # last one), but phase time is spent across *all* iterations.
-    phase_totals: dict[str, float] = {}
+    start, deadline = start_clock(config, deadline)
+    # Plans considered and phase time add up over all iterations;
+    # memory and the Pareto count are the last iteration's (the paper
+    # reports memory for the last one: earlier allocations can be
+    # reused).
     counters = Counters()
     best = None
-    final_set = None
+    frontier = []
     iteration = 0
-    timed_out = False
 
     while iteration < max_iterations:
         iteration += 1
@@ -135,58 +125,24 @@ def ira(
         exact_iteration = alpha - 1.0 < _EXACT_THRESHOLD
         if exact_iteration:
             alpha = 1.0
-        counters = Counters()
-        run = DPRun(
-            query=query,
-            cost_model=cost_model,
-            config=config,
-            indices=preferences.indices,
-            weights=weights,
-            alpha_internal=internal_precision(alpha, num_tables),
-            deadline=deadline,
-            counters=counters,
-            extra_indices=(
-                strict_closure(preferences.indices) if strict else ()
-            ),
-            include_rows=strict,
+        frontier, run_counters = find_pareto_plans(
+            query, cost_model, preferences, alpha, config, deadline,
+            strict=strict,
         )
-        sets = run.run()
-        final_set = strip_entries(sets[run.graph.full_mask],
-                                  run.projection_width)
-        total_considered += counters.plans_considered
-        total_vectorized += counters.candidates_vectorized
-        if config.phase_timers:
-            for phase, spent_ms in counters.phase_ms().items():
-                phase_totals[phase] = phase_totals.get(phase, 0.0) + spent_ms
-        best = select_best(final_set, preferences)
-        timed_out = counters.timed_out
-        if timed_out or exact_iteration:
+        run_counters.add_work(counters)
+        counters = run_counters
+        best = select_best(frontier, preferences)
+        if counters.timed_out or exact_iteration:
             break
         if best is not None and _stopping_condition_met(
-            final_set, best[0], bounds, weights, alpha, alpha_u
+            frontier, best[0], preferences.bounds, preferences.weights,
+            alpha, alpha_u,
         ):
             break
 
-    elapsed_ms = (_time.perf_counter() - start) * 1000.0
-    return OptimizationResult(
-        algorithm="ira",
-        query_name=query.name,
-        preferences=preferences,
-        plan=best[1] if best else None,
-        plan_cost=best[0] if best else None,
-        frontier=tuple(final_set) if final_set is not None else (),
-        optimization_time_ms=elapsed_ms,
-        # Paper: memory reported for the last iteration (earlier
-        # allocations can be reused).
-        memory_kb=counters.memory_kb,
-        pareto_last_complete=counters.pareto_last_complete,
-        plans_considered=total_considered,
-        candidates_vectorized=total_vectorized,
-        timed_out=timed_out,
-        iterations=iteration,
-        alpha=alpha_u,
-        deadline_hit=timed_out or deadline_exceeded(deadline),
-        phase_ms=phase_totals,
+    return package_result(
+        "ira", query, preferences, config, start, deadline, frontier,
+        best, counters, alpha_u, iterations=iteration,
     )
 
 

@@ -28,6 +28,7 @@ from repro.core.preferences import Preferences
 from repro.core.registry import get_algorithm
 from repro.core.request import OptimizationRequest
 from repro.core.result import OptimizationResult
+from repro.core.rta import start_clock
 from repro.cost.model import CostModel
 from repro.cost.objectives import Objective
 from repro.cost.postgres_params import DEFAULT_PARAMS, CostParams
@@ -94,12 +95,7 @@ class MultiObjectiveOptimizer:
         spec = get_algorithm(request.algorithm)
         preferences = spec.prepare_preferences(request.preferences)
         config = request.effective_config(self.config)
-        start = _time.perf_counter()
-        deadline = (
-            start + config.timeout_seconds
-            if config.timeout_seconds is not None
-            else None
-        )
+        start, deadline = start_clock(config, None)
         block_results = tuple(
             spec.runner(
                 block,

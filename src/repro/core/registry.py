@@ -16,9 +16,12 @@ shared across the blocks of one request so multi-block queries consume
 a single budget. Every runner is expected to honor it *and* to report
 it honestly: the returned result must set ``deadline_hit`` whenever the
 deadline had passed by the end of the run — even if the enumeration's
-coarse-grained periodic check never tripped into fallback mode (see
-:func:`repro.core.dp.deadline_exceeded`). All six built-in algorithms
-do; the deadline-aware scheduler and the service's metrics rely on it.
+coarse-grained periodic check never tripped into fallback mode. The six
+built-in algorithms do both in one place, :mod:`repro.core.rta`:
+:func:`~repro.core.rta.start_clock` turns ``config.timeout_seconds``
+into a deadline when none is passed, and
+:func:`~repro.core.rta.package_result` sets ``deadline_hit``. The
+deadline-aware scheduler and the service's metrics rely on it.
 
 The built-in algorithms — the paper's EXA/RTA/IRA, the single-objective
 Selinger baseline and the guarantee-free ``wsum``/``idp`` baselines —

@@ -19,14 +19,10 @@ single-objective baseline shares).
 
 from __future__ import annotations
 
-import time as _time
-
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
-from repro.core.dp import DPRun, deadline_exceeded
-from repro.core.instrumentation import Counters
 from repro.core.preferences import Preferences
 from repro.core.result import OptimizationResult
-from repro.core.select_best import select_best
+from repro.core.rta import optimize_block
 from repro.cost.model import CostModel
 from repro.cost.objectives import Objective
 from repro.query.query import Query
@@ -62,42 +58,9 @@ def selinger(
     has no sampling scan either). Tuple loss consequently has minimum 0
     here, which is its true minimum in the full space as well.
     """
-    config = config.without_sampling()
-    preferences = _pruning_preferences(objective)
-    start = _time.perf_counter()
-    if deadline is None and config.timeout_seconds is not None:
-        deadline = start + config.timeout_seconds
-    counters = Counters()
-    run = DPRun(
-        query=query,
-        cost_model=cost_model,
-        config=config,
-        indices=preferences.indices,
-        weights=preferences.weights,
-        alpha_internal=1.0,
-        deadline=deadline,
-        counters=counters,
-    )
-    sets = run.run()
-    final_set = sets[run.graph.full_mask]
-    best = select_best(final_set, preferences)
-    elapsed_ms = (_time.perf_counter() - start) * 1000.0
-    return OptimizationResult(
-        algorithm="selinger",
-        query_name=query.name,
-        preferences=preferences,
-        plan=best[1] if best else None,
-        plan_cost=best[0] if best else None,
-        frontier=tuple(final_set),
-        optimization_time_ms=elapsed_ms,
-        memory_kb=counters.memory_kb,
-        pareto_last_complete=counters.pareto_last_complete,
-        plans_considered=counters.plans_considered,
-        candidates_vectorized=counters.candidates_vectorized,
-        timed_out=counters.timed_out,
-        alpha=1.0,
-        deadline_hit=counters.timed_out or deadline_exceeded(deadline),
-        phase_ms=counters.phase_ms() if config.phase_timers else {},
+    return optimize_block(
+        "selinger", query, cost_model, _pruning_preferences(objective), 1.0,
+        config.without_sampling(), deadline, alpha=1.0,
     )
 
 

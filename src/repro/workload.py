@@ -97,28 +97,6 @@ class WorkloadGenerator:
         self._minimums: dict[tuple[int, Objective], float] = {}
 
     # ------------------------------------------------------------------
-    def family(self, name: str, **knobs):
-        """A parameterized query family sharing this generator's seed.
-
-        Dispatches to :func:`repro.workloads.families.make_family`; the
-        ``tpch-chain`` family defaults to this generator's schema (pass
-        ``schema=...`` to override; ``job-chain`` builds its own IMDB
-        schema). The family draws from its own per-index streams, so it
-        does not perturb this generator's TPC-H case sequence.
-        """
-        from repro.workloads.families import make_family
-
-        knobs.setdefault("seed", self.seed)
-        if name == "tpch-chain":
-            knobs.setdefault("schema", self.schema)
-        return make_family(name, **knobs)
-
-    def family_requests(self, name: str, count: int, **knobs):
-        """The first ``count`` requests of family ``name`` (see
-        :meth:`family`); ready for ``OptimizerService.optimize_many``."""
-        return self.family(name, **knobs).requests(count)
-
-    # ------------------------------------------------------------------
     def weighted_case(
         self, query_number: int, num_objectives: int, case_index: int = 0
     ) -> TestCase:

@@ -8,13 +8,14 @@ this exhaustive set.
 :class:`ReferenceDPRun` is the per-candidate DP: one scalar
 ``join_cost`` call and one coverage check per candidate, in the order
 the batched enumerator of :mod:`repro.core.dp` promises. Its plan sets
-are what the batched path must reproduce bit for bit;
-:func:`reference_enumeration` runs the algorithm entry points on it.
+are what the batched path must reproduce bit for bit.
+:func:`reference_enumeration` swaps it into the one place the
+algorithms build their DP (:func:`repro.core.rta.find_pareto_plans`),
+so every entry point but the IDP runs on it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 from itertools import combinations
 from unittest import mock
@@ -182,15 +183,15 @@ class ReferenceDPRun(DPRun):
         return True
 
 
-@contextlib.contextmanager
 def reference_enumeration():
-    """Run the EXA, RTA, IRA and Selinger entry points on the reference."""
-    with contextlib.ExitStack() as stack:
-        for name in ("exa", "ira", "rta", "selinger"):
-            # The package re-exports functions under these names, so
-            # import the modules themselves.
-            module = importlib.import_module(f"repro.core.{name}")
-            stack.enter_context(
-                mock.patch.object(module, "DPRun", ReferenceDPRun)
-            )
-        yield
+    """Run the EXA, RTA, IRA, Selinger and weighted-sum entry points on
+    the reference.
+
+    They all build their ``DPRun`` in one place,
+    :func:`repro.core.rta.find_pareto_plans`, so patching that module's
+    name covers them. The IDP subclasses ``DPRun`` and stays batched.
+    """
+    # The package re-exports ``rta`` as a function, so import the module.
+    return mock.patch.object(
+        importlib.import_module("repro.core.rta"), "DPRun", ReferenceDPRun
+    )

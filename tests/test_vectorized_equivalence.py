@@ -39,6 +39,7 @@ from repro import (
     build_schema,
 )
 from repro.core import dp
+from repro.core.baselines import weighted_sum_baseline
 from repro.core.exa import exact_moqo
 from repro.core.ira import ira
 from repro.core.pruning import (
@@ -190,7 +191,10 @@ def test_strict_mode_bitwise_equivalence(instance):
 
 
 def test_tpch_equivalence_all_algorithms():
-    """Deterministic spot check on a real TPC-H query, all entry points."""
+    """Deterministic spot check on a real TPC-H query, all entry points
+    the reference reaches. ``assert_bitwise_equal`` also checks that the
+    reference counted no vectorized candidate, which fails if an entry
+    point builds its DP where the patch does not reach."""
     from repro.catalog.tpch import tpch_schema
 
     schema = tpch_schema()
@@ -210,6 +214,7 @@ def test_tpch_equivalence_all_algorithms():
             rta(query, model, prefs, 2.0, SMALL_CONFIG),
             ira(query, model, bounded, 2.0, SMALL_CONFIG),
             selinger(query, model, Objective.TOTAL_TIME, SMALL_CONFIG),
+            weighted_sum_baseline(query, model, prefs, SMALL_CONFIG),
         ]
 
     batched = run_all()

@@ -6,6 +6,7 @@ from repro import INFINITY, Objective, WorkloadGenerator
 from repro.config import OptimizerConfig
 from repro.cost.objectives import ALL_OBJECTIVES
 from repro.exceptions import OptimizerError
+from repro.workloads import make_family
 
 CONFIG = OptimizerConfig(dop_values=(1, 2), sampling_rates=(0.01, 0.05))
 
@@ -101,44 +102,17 @@ class TestBoundedCases:
 
 
 class TestFamilyDispatch:
-    def test_family_inherits_generator_seed(self, generator):
-        family = generator.family("tpch-chain", extra_joins=2)
-        assert family.seed == 123
-
-    def test_tpch_family_defaults_to_generator_schema(self, generator):
-        family = generator.family("tpch-chain", extra_joins=2)
-        assert family.schema is generator.schema
+    """Query families come from ``repro.workloads.make_family``, which
+    dispatches on the family name."""
 
     def test_job_family_builds_own_schema(self, generator):
-        family = generator.family("job-chain", joins=2)
+        family = make_family("job-chain", joins=2)
         assert family.schema is not generator.schema
         assert family.schema.name.startswith("imdb")
 
-    def test_family_requests_deterministic_across_generators(self):
-        from repro import tpch_schema
-
-        schema = tpch_schema(0.0002)
-        g1 = WorkloadGenerator(schema, config=CONFIG, seed=99)
-        g2 = WorkloadGenerator(schema, config=CONFIG, seed=99)
-        first = g1.family_requests("tpch-chain", 3, extra_joins=2)
-        second = g2.family_requests("tpch-chain", 3, extra_joins=2)
-        assert [r.fingerprint() for r in first] == [
-            r.fingerprint() for r in second
-        ]
-
-    def test_family_draws_leave_case_stream_untouched(self, generator):
-        # Family draws use per-index streams, so interleaving them must
-        # not perturb the TPC-H case sequence.
-        g_ref = WorkloadGenerator(generator.schema, config=CONFIG, seed=123)
-        expected = g_ref.weighted_case(3, num_objectives=4).preferences
-        g_mixed = WorkloadGenerator(generator.schema, config=CONFIG, seed=123)
-        g_mixed.family_requests("tpch-chain", 2, extra_joins=2)
-        assert g_mixed.weighted_case(3, num_objectives=4).preferences \
-            == expected
-
-    def test_unknown_family_rejected(self, generator):
+    def test_unknown_family_rejected(self):
         with pytest.raises(OptimizerError):
-            generator.family("no-such-family")
+            make_family("no-such-family")
 
 
 class TestMinimumCost:
