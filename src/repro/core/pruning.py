@@ -193,25 +193,36 @@ class PlanSet:
         dominated by an earlier *accepted* candidate of the same block.
         The first survivor left is always accepted, so the sweep accepts
         it and drops, in one comparison, every later survivor it covers:
-        it takes one step per accepted row, not per survivor. Replaying
-        :meth:`force_insert` for the accepted rows in order reproduces
-        the sequential insert loop bit for bit (module docstring:
-        determinism contract).
+        it takes one step per accepted row, not per survivor. One
+        ``alive`` mask over the survivors records the drops, so no step
+        copies the arrays; a dropped survivor never drops another, which
+        keeps the sweep greedy when approximate dominance is not
+        transitive. Replaying :meth:`force_insert` for the accepted rows
+        in order reproduces the sequential insert loop bit for bit
+        (module docstring: determinism contract).
         """
         thresholds = self._block_thresholds(candidates)
         keep = self._not_covered(candidates, thresholds)
         survivors = np.flatnonzero(keep)
         if len(survivors) <= 1:
             return keep
-        keep[survivors] = False
         rows = candidates[survivors]
-        limits = thresholds[survivors]
-        while len(survivors):
-            keep[survivors[0]] = True
-            uncovered = ~(rows[0] <= limits[1:]).all(axis=1)
-            survivors = survivors[1:][uncovered]
-            rows = rows[1:][uncovered]
-            limits = limits[1:][uncovered]
+        # One row per dimension: each step then compares contiguous
+        # runs and reduces over the short axis, which is faster.
+        limits = thresholds[survivors].T.copy()
+        alive = np.ones(len(survivors), dtype=bool)
+        accepted = 0
+        while accepted < len(survivors) - 1:
+            later = alive[accepted + 1:]
+            # Uncovered: some dimension's limit is below the row's cost.
+            later &= (
+                limits[:, accepted + 1:] < rows[accepted][:, None]
+            ).any(axis=0)
+            step = later.argmax()
+            if not later[step]:
+                break
+            accepted += 1 + step
+        keep[survivors[~alive]] = False
         return keep
 
     def plan_block(self) -> PlanBlock:

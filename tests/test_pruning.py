@@ -6,6 +6,7 @@ inserted vector, and an approximate PlanSet alpha-covers every inserted
 vector (the local building block of Theorem 3).
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -145,6 +146,40 @@ class TestApproximatePlanSet:
                 approx_dominates(c, vector, alpha * (1 + 1e-12))
                 for c in approx.costs
             )
+
+    @pytest.mark.parametrize("chains", [1, 20])
+    def test_block_sweep_is_greedy_under_non_transitive_cover(self, chains):
+        """At alpha 1.5, row 0 covers row 1 and row 1 covers row 2, but
+        row 0 does not cover row 2. Row 1 is rejected, so it must not
+        reject row 2: the sweep accepts what the sequential insert loop
+        accepts. Twenty such chains in one block take the sweep through
+        many accepted rows."""
+        chain = np.array([(1.0, 1.0), (1.0, 0.7), (0.7, 0.5)])
+        assert approx_dominates(chain[0], chain[1], 1.5)
+        assert approx_dominates(chain[1], chain[2], 1.5)
+        assert not approx_dominates(chain[0], chain[2], 1.5)
+        # Scaling dimension 0 by 4**t and dimension 1 by 4**-t keeps
+        # each chain's covers and makes rows of different chains
+        # incomparable at alpha 1.5.
+        rows = np.concatenate([
+            chain * (4.0 ** t, 4.0 ** -t) for t in range(chains)
+        ])
+        sequential = PlanSet(alpha=1.5)
+        inserted = [
+            sequential.insert(tuple(row), index)
+            for index, row in enumerate(rows.tolist())
+        ]
+        assert inserted == [True, False, True] * chains
+        batched = PlanSet(alpha=1.5)
+        keep = batched.block_accept(rows)
+        assert keep.tolist() == inserted
+        for index in np.flatnonzero(keep):
+            batched.force_insert(tuple(rows[index].tolist()), int(index))
+        # Each chain's row 2 exactly dominates its row 0, so it replaced it.
+        assert batched.entries == sequential.entries
+        assert [plan for _, plan in batched.entries] == [
+            3 * t + 2 for t in range(chains)
+        ]
 
     def test_may_store_more_than_exact(self):
         """A documented non-property: the insert and delete rules do not

@@ -411,8 +411,18 @@ def test_covers_many_matches_scalar_covers(
         assert keep.sum() * 2 * _FIRST_SLAB * width > _BLOCK_CMP_BUDGET
 
 
-@pytest.mark.parametrize("width, stored_rows", [(3, 0), (9, 400)])
-def test_block_accept_replay_matches_sequential_inserts(width, stored_rows):
+@pytest.mark.parametrize("width, stored_rows, alpha", [
+    pytest.param(3, 0, 1.2, id="3-0"),
+    pytest.param(9, 400, 1.2, id="9-400"),
+    # No stored entries at nine objectives: most of the distinct rows
+    # are accepted, so the sweep takes over a hundred steps.
+    pytest.param(9, 0, 1.2, id="9-0"),
+    # Most rows covered by an earlier accepted row of the block.
+    pytest.param(3, 0, 10.0, id="3-0-covered"),
+])
+def test_block_accept_replay_matches_sequential_inserts(
+    width, stored_rows, alpha
+):
     """block_accept + ordered force_insert == sequential insert loop."""
     rng = np.random.default_rng(11)
     stored = antichain(rng, stored_rows, width)
@@ -422,8 +432,8 @@ def test_block_accept_replay_matches_sequential_inserts(width, stored_rows):
         0.9, 1.1, size=(150, width)
     )
 
-    sequential = PlanSet(alpha=1.2)
-    batched = PlanSet(alpha=1.2)
+    sequential = PlanSet(alpha=alpha)
+    batched = PlanSet(alpha=alpha)
     for position, row in enumerate(stored):
         sequential.force_insert(tuple(row.tolist()), -1 - position)
         batched.force_insert(tuple(row.tolist()), -1 - position)
