@@ -15,10 +15,9 @@ for Many-Objective Query Optimization" (SIGMOD 2014 / arXiv:1404.0046):
   executed by an :class:`OptimizerService` with a memoizing plan cache,
   pluggable execution backends and per-request metrics hooks;
 * a parallel backend (:mod:`repro.parallel`): a warm process pool
-  (``backend="processes"``) that sidesteps the GIL for batch
-  throughput, fingerprint sharding that keeps repeats on one worker's
-  plan cache, and deadline-aware scheduling with an anytime (IRA)
-  fallback;
+  (``backend="processes"``) that sidesteps the GIL for served
+  requests and batches alike, and deadline-aware scheduling with an
+  anytime (IRA) fallback;
 * a benchmark harness regenerating every figure of the paper's
   evaluation.
 
@@ -49,7 +48,7 @@ Quickstart::
     print(service.metrics.snapshot())
 
     # CPU-bound batches scale across cores with the process backend
-    # (warm spawn-safe workers, per-worker plan caches):
+    # (warm spawn-safe workers; one dispatch per request):
     with OptimizerService(tpch_schema(), backend="processes",
                           workers=4) as parallel_service:
         results = parallel_service.optimize_many(many_requests)
@@ -120,7 +119,6 @@ from repro.exceptions import (
 )
 from repro.parallel import (
     DeadlineScheduler,
-    ShardPlanner,
     WorkerPool,
 )
 from repro.plans import JoinMethod, JoinPlan, Plan, ScanMethod, ScanPlan
@@ -190,7 +188,6 @@ __all__ = [
     "ServerThread",
     "ServiceMetrics",
     "ServingMetrics",
-    "ShardPlanner",
     "Table",
     "TableRef",
     "TestCase",

@@ -10,16 +10,21 @@ end for that setting:
   memoizing plan cache keyed by the request's canonical fingerprint
   (query structure, canonicalized preferences, algorithm, precision,
   effective configuration — never tags);
-* :meth:`OptimizerService.optimize_many` fans a batch of requests out
-  over a pluggable backend, preserving input order in the returned
-  results:
+* cache misses run on a pluggable backend:
 
-  - ``"inline"`` — sequential execution in the calling thread;
-  - ``"threads"`` — a thread pool; cheap, but the GIL serializes the
-    CPU-bound optimization work, so it only overlaps bookkeeping;
-  - ``"processes"`` — a warm :class:`~repro.parallel.pool.WorkerPool`
+  - ``"inline"`` — in the calling thread;
+  - ``"threads"`` — in the calling thread too, with batches fanned out
+    over a thread pool; cheap, but the GIL serializes the CPU-bound
+    optimization work, so it only overlaps bookkeeping;
+  - ``"processes"`` — on a warm :class:`~repro.parallel.pool.WorkerPool`
     of spawn-safe worker processes, each with its own registry, cost
-    model and plan cache (see :mod:`repro.parallel`);
+    model and plan cache (see :mod:`repro.parallel`), guarded by a
+    circuit breaker, a retry policy and a degraded fallback plan;
+
+* :meth:`OptimizerService.optimize_many` fans a batch out over
+  ``submit``'s path, preserving input order in the returned results;
+  repeats within a batch run after their first occurrence, so a
+  cacheable result serves them from the cache;
 
 * per-request metrics hooks receive one
   :class:`~repro.core.instrumentation.RequestMetrics` record per
@@ -38,12 +43,12 @@ from cache would pin the degraded plan.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from repro.catalog.schema import Schema
@@ -55,7 +60,7 @@ from repro.core.result import OptimizationResult
 from repro.cost.model import CostModel
 from repro.cost.postgres_params import DEFAULT_PARAMS, CostParams
 from repro.exceptions import OptimizerError, WorkerCrashError
-from repro.obs.trace import active_tracer, current_context
+from repro.obs.trace import active_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.chaos import ChaosInjector, chaos_from_env
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -63,7 +68,7 @@ from repro.resilience.policy import DEFAULT_RETRY_POLICY, RetryPolicy
 #: Callable invoked with one record per completed request.
 MetricsHook = Callable[[RequestMetrics], None]
 
-#: Execution backends optimize_many() can fan a batch out over.
+#: Where cache misses execute.
 BACKENDS = ("inline", "threads", "processes")
 
 
@@ -225,10 +230,9 @@ class OptimizerService:
         Idempotent by contract: the serving layer may own the service
         lifecycle *and* hand it to a context manager, so double (and
         triple) closes must be no-ops rather than errors. A closed
-        service still answers ``submit``/``optimize_many`` — the inline
-        and thread backends need no resources — but the process backend
-        would lazily restart a worker pool, so :attr:`closed` lets
-        owners assert the lifecycle they expect.
+        service still answers ``submit``/``optimize_many``; under the
+        process backend its cache misses run in-process instead of
+        restarting the worker pool.
         """
         with self._pool_lock:
             self._closed = True
@@ -294,40 +298,55 @@ class OptimizerService:
         result would poison the original algorithm's cache key).
 
         Under the process backend, cache misses execute on a warm
-        worker process (the pool the batch API uses): single served
-        requests get real parallelism instead of competing for the
-        parent's GIL, and their worker-side trace spans merge back into
-        the caller's trace. A closed service falls back to in-process
-        execution rather than silently restarting the pool.
+        worker process: they get real parallelism instead of competing
+        for the parent's GIL, and their worker-side trace spans merge
+        back into the caller's trace. A closed service falls back to
+        in-process execution rather than silently restarting the pool.
+        """
+        return self._serve(
+            request,
+            request.fingerprint(self.config),
+            admitted_epoch=admitted_epoch,
+            deadline_epoch=deadline_epoch,
+        )
+
+    def _serve(
+        self,
+        request: OptimizationRequest,
+        key: str,
+        *,
+        admitted_epoch: float | None,
+        deadline_epoch: float | None,
+    ) -> OptimizationResult:
+        """:meth:`submit` for a request whose fingerprint ``key`` is known.
+
+        The only place a request is admitted: a cache miss under a
+        scheduler gets its absolute deadline here, before it reaches a
+        backend.
         """
         tracer = active_tracer()
-        key = request.fingerprint(self.config)
         if tracer is None:
             cached = self.cache.get(key)
         else:
             with tracer.span("cache.lookup", "cache"):
                 cached = self.cache.get(key)
         if cached is not None:
-            self._report(request, key, cached, cache_hit=True)
+            self._dispatch(self._record(request, key, cached, cache_hit=True))
             return cached
-        if self.backend == "processes" and not self._closed:
-            return self._execute_resilient(
-                request, key,
-                admitted_epoch=admitted_epoch,
-                deadline_epoch=deadline_epoch,
+        if self.scheduler is not None and deadline_epoch is None:
+            if admitted_epoch is None:
+                admitted_epoch = time.time()
+            deadline_epoch = self.scheduler.admit(
+                request, admitted_epoch, self.config.timeout_seconds
             )
-        return self._execute_local(
-            request, key,
-            admitted_epoch=admitted_epoch,
-            deadline_epoch=deadline_epoch,
-        )
+        if self.backend == "processes" and not self._closed:
+            return self._execute_resilient(request, key, deadline_epoch)
+        return self._execute_local(request, key, deadline_epoch)
 
     def _execute_local(
         self,
         request: OptimizationRequest,
         key: str,
-        *,
-        admitted_epoch: float | None,
         deadline_epoch: float | None,
     ) -> OptimizationResult:
         """Execute one cache-missed request in the calling thread.
@@ -339,20 +358,13 @@ class OptimizerService:
         tracer = active_tracer()
         executed = request
         rerouted = False
-        if self.scheduler is not None:
-            default_timeout = self.config.timeout_seconds
-            if deadline_epoch is None:
-                if admitted_epoch is None:
-                    admitted_epoch = time.time()
-                deadline_epoch = self.scheduler.admit(
-                    request, admitted_epoch, default_timeout
-                )
-            if deadline_epoch is not None:
-                scheduled = self.scheduler.resolve(
-                    request, deadline_epoch, time.time(), default_timeout
-                )
-                executed = scheduled.request
-                rerouted = scheduled.rerouted
+        if self.scheduler is not None and deadline_epoch is not None:
+            scheduled = self.scheduler.resolve(
+                request, deadline_epoch, time.time(),
+                self.config.timeout_seconds,
+            )
+            executed = scheduled.request
+            rerouted = scheduled.rerouted
         if tracer is None:
             result = self._optimizer.execute(executed)
         else:
@@ -369,10 +381,11 @@ class OptimizerService:
                 )
             finally:
                 span.finish()
-        if not result.timed_out and not result.deadline_hit and not rerouted:
-            self.cache.put(key, result)
-        self._report(
-            executed, key, result, cache_hit=False, rerouted=rerouted
+        self._complete(
+            key, result,
+            self._record(
+                executed, key, result, cache_hit=False, rerouted=rerouted
+            ),
         )
         return result
 
@@ -380,10 +393,7 @@ class OptimizerService:
         self,
         request: OptimizationRequest,
         key: str,
-        *,
-        admitted_epoch: float | None,
         deadline_epoch: float | None,
-        prior_failures: int = 0,
     ) -> OptimizationResult:
         """Run one cache-missed request down the degradation ladder.
 
@@ -404,16 +414,8 @@ class OptimizerService:
         Requests arriving while the breaker is tripped run directly on
         the degraded backend (in-process); half-open probe dispatches
         go back to the pool and their outcome drives recovery.
-        ``prior_failures`` pre-charges the retry budget — the batch
-        path enters here after a crash it already observed.
         """
-        if self.scheduler is not None and deadline_epoch is None:
-            if admitted_epoch is None:
-                admitted_epoch = time.time()
-            deadline_epoch = self.scheduler.admit(
-                request, admitted_epoch, self.config.timeout_seconds
-            )
-        failures = prior_failures
+        failures = 0
         while True:
             if failures > 0:
                 delay = None
@@ -451,17 +453,9 @@ class OptimizerService:
             )
             try:
                 if backend == "processes" and not self._closed:
-                    result = self._submit_to_pool(
-                        request, key,
-                        admitted_epoch=admitted_epoch,
-                        deadline_epoch=deadline_epoch,
-                    )
+                    result = self._submit_to_pool(request, key, deadline_epoch)
                 else:
-                    result = self._execute_local(
-                        request, key,
-                        admitted_epoch=admitted_epoch,
-                        deadline_epoch=deadline_epoch,
-                    )
+                    result = self._execute_local(request, key, deadline_epoch)
             except WorkerCrashError:
                 failures += 1
                 if decision is not None:
@@ -510,32 +504,26 @@ class OptimizerService:
             ):
                 result = self._optimizer.execute(degraded_request)
         result = dataclasses.replace(result, degraded=True)
-        self._report(request, key, result, cache_hit=False, degraded=True)
+        self._dispatch(
+            self._record(request, key, result, cache_hit=False, degraded=True)
+        )
         return result
 
     def _submit_to_pool(
         self,
         request: OptimizationRequest,
         key: str,
-        *,
-        admitted_epoch: float | None,
         deadline_epoch: float | None,
     ) -> OptimizationResult:
-        """Route one cache-missed :meth:`submit` to a worker process.
+        """Route one cache-missed request to a worker process.
 
-        Admission (deadline stamping) happens in the parent, like the
-        batch path; resolution (reroute/budget decisions) happens in the
-        worker at dequeue time, so pool queueing counts against the
-        budget. The caller's trace context ships with the request and
-        the worker's finished spans come back merged into the caller's
-        tracer, parented where the submit happened.
+        Admission (deadline stamping) happened in the parent;
+        resolution (reroute/budget decisions) happens in the worker at
+        dequeue time, so pool queueing counts against the budget. The
+        caller's trace context ships with the request and the worker's
+        finished spans come back merged into the caller's tracer,
+        parented where the submit happened.
         """
-        if self.scheduler is not None and deadline_epoch is None:
-            if admitted_epoch is None:
-                admitted_epoch = time.time()
-            deadline_epoch = self.scheduler.admit(
-                request, admitted_epoch, self.config.timeout_seconds
-            )
         tracer = active_tracer()
         if tracer is None:
             result, record, spans = self.worker_pool().execute_one(
@@ -557,185 +545,96 @@ class OptimizerService:
                 dispatch.finish()
             if spans:
                 tracer.ingest(spans)
-        # Same cache rule as the in-process path; the worker ships its
-        # reroute decision back on the record.
-        if (
-            not result.timed_out
-            and not result.deadline_hit
-            and not record.rerouted
-        ):
-            self.cache.put(key, result)
-        self._dispatch(record)
+        # The worker ships its reroute decision back on the record.
+        self._complete(key, result, record)
         return result
 
     def optimize_many(
         self,
         requests: Sequence[OptimizationRequest],
         max_workers: int | None = None,
-        *,
-        backend: str | None = None,
-        shard_by_fingerprint: bool | None = None,
     ) -> list[OptimizationResult]:
         """Execute a batch of requests; results keep the input order.
 
-        ``backend`` overrides the service default for this batch.
-        ``max_workers`` caps the thread-pool fan-out (thread backend
-        only; the process pool's size is fixed when it starts). For the
-        thread backend the default scales with the batch (at most 8
-        threads) and ``max_workers=1`` degrades to sequential execution.
-        ``shard_by_fingerprint`` (process backend) routes fingerprint-
-        equal requests to the same worker so repeats hit that worker's
-        plan cache; the default (``None``) enables it exactly when the
-        batch contains repeats.
+        Each request takes :meth:`submit`'s path on the service's
+        backend, with the batch's admission time as its
+        ``admitted_epoch``. ``max_workers`` caps how many requests are
+        in flight at once. The default is twice the worker-pool size for
+        the process backend and ``min(8, len(requests))`` otherwise; the
+        inline backend, or a width of 1, runs the batch sequentially.
+
+        Each fingerprint is computed once. The first occurrence of each
+        runs first and the repeats follow in a second wave, so repeats
+        are cache hits when the plan cache is on and the first run was
+        cacheable; otherwise (``cache_size=0``, a timed-out run) they
+        recompute.
         """
         requests = list(requests)
         if not requests:
             return []
-        backend = backend if backend is not None else self.backend
-        if backend not in BACKENDS:
-            raise OptimizerError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         admitted_epoch = time.time()
-        if backend == "processes":
-            return self._optimize_many_processes(
-                requests, admitted_epoch, shard_by_fingerprint,
-                max_workers=max_workers,
-            )
-        submit = partial(self.submit, admitted_epoch=admitted_epoch)
-        if max_workers is None:
-            max_workers = min(8, len(requests))
-        if backend == "inline" or max_workers == 1 or len(requests) == 1:
-            return [submit(request) for request in requests]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(submit, requests))
-
-    # ------------------------------------------------------------------
-    def _optimize_many_processes(
-        self,
-        requests: list[OptimizationRequest],
-        admitted_epoch: float,
-        shard_by_fingerprint: bool | None,
-        max_workers: int | None = None,
-    ) -> list[OptimizationResult]:
-        """Fan a batch out over the worker pool.
-
-        The parent cache is consulted first (known answers never travel
-        to a worker); worker results flow back into the parent cache so
-        later batches and ``submit`` calls see them.
-
-        Resilience: the batch takes one breaker decision. A tripped
-        breaker reroutes the whole batch through per-request ``submit``
-        on threads (each request then walks the ladder itself,
-        including half-open probes). On the pool, individually crashed
-        dispatches — ones the pool's own respawn + re-dispatch could
-        not save — feed the breaker and finish through the per-request
-        retry/degrade path instead of failing the batch.
-        """
-        decision = None
-        if self.breaker is not None and not self._closed:
-            decision = self.breaker.decide()
-            if decision.backend != "processes":
-                submit = partial(self.submit, admitted_epoch=admitted_epoch)
-                workers = (
-                    min(8, len(requests))
-                    if max_workers is None
-                    else max_workers
-                )
-                if (
-                    decision.backend == "inline"
-                    or workers == 1
-                    or len(requests) == 1
-                ):
-                    results = [submit(request) for request in requests]
-                else:
-                    with ThreadPoolExecutor(max_workers=workers) as tpool:
-                        results = list(tpool.map(submit, requests))
-                if self.breaker.record_success(decision):
-                    self.metrics.record_resilience("breaker_recovery")
-                return results
         keys = [request.fingerprint(self.config) for request in requests]
-        if self.scheduler is not None:
-            epochs = [
-                self.scheduler.admit(
-                    request, admitted_epoch, self.config.timeout_seconds
-                )
-                for request in requests
-            ]
-        else:
-            epochs = [None] * len(requests)
+        firsts: dict[str, int] = {}
+        for position, key in enumerate(keys):
+            firsts.setdefault(key, position)
+        waves = (
+            list(firsts.values()),
+            [p for p, key in enumerate(keys) if firsts[key] != p],
+        )
         results: list[OptimizationResult | None] = [None] * len(requests)
-        shipped: list[int] = []
-        for position, request in enumerate(requests):
-            cached = self.cache.get(keys[position])
-            if cached is not None:
-                results[position] = cached
-                self._report(
-                    request, keys[position], cached, cache_hit=True
-                )
-            else:
-                shipped.append(position)
-        if shipped:
-            if shard_by_fingerprint is None:
-                shipped_keys = [keys[position] for position in shipped]
-                shard_by_fingerprint = (
-                    len(set(shipped_keys)) < len(shipped_keys)
-                )
-            tracer = active_tracer()
-            trace_ctx = current_context() if tracer is not None else None
-            outputs = self.worker_pool().execute_many(
-                [requests[position] for position in shipped],
-                [epochs[position] for position in shipped],
-                shard_by_fingerprint=shard_by_fingerprint,
-                default_config=self.config,
-                trace_ctx=trace_ctx,
-                on_crash="return",
+
+        def serve(position: int) -> None:
+            results[position] = self._serve(
+                requests[position], keys[position],
+                admitted_epoch=admitted_epoch, deadline_epoch=None,
             )
-            crashed: list[int] = []
-            for position, output in zip(shipped, outputs):
-                if isinstance(output, WorkerCrashError):
-                    crashed.append(position)
-                    continue
-                result, record, spans = output
-                if tracer is not None and spans:
-                    tracer.ingest(spans)
-                results[position] = result
-                # Same cache rule as submit(): completed runs only, and
-                # never a result the worker's scheduler rerouted away
-                # from what the fingerprint promises (the worker ships
-                # the reroute decision back on the record).
-                if (
-                    not result.timed_out
-                    and not result.deadline_hit
-                    and not record.rerouted
-                ):
-                    self.cache.put(keys[position], result)
-                self._dispatch(record)
-            if decision is not None:
-                if crashed:
-                    # A probe is one experiment — report it once; a
-                    # closed-state decision reports every crash so the
-                    # failure threshold means what it says.
-                    reports = 1 if decision.probe else len(crashed)
-                    for _ in range(reports):
-                        if self.breaker.record_failure(decision):
-                            self._note_breaker_trip()
-                            break
-                elif self.breaker.record_success(decision):
-                    self.metrics.record_resilience("breaker_recovery")
-            for position in crashed:
-                results[position] = self._execute_resilient(
-                    requests[position], keys[position],
-                    admitted_epoch=admitted_epoch,
-                    deadline_epoch=epochs[position],
-                    prior_failures=1,
-                )
+
+        width = max_workers
+        if width is None and self.backend == "processes":
+            from repro.parallel.pool import default_worker_count
+
+            # Two requests per worker: each worker has its next request
+            # queued while its last result ships back, so it never idles
+            # through a round trip.
+            width = 2 * (self.workers or default_worker_count())
+        elif width is None:
+            width = min(8, len(requests))
+        width = min(width, len(requests))
+        if self.backend == "inline" or width == 1:
+            for wave in waves:
+                for position in wave:
+                    serve(position)
+            return results
+        # Threads do not inherit contextvars, so each task runs in a
+        # copy of the caller's context: the active tracer and the
+        # enclosing span reach every request.
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            for wave in waves:
+                futures = [
+                    pool.submit(contextvars.copy_context().run, serve, p)
+                    for p in wave
+                ]
+                for future in futures:
+                    future.result()
         return results
 
     # ------------------------------------------------------------------
-    def _report(
+    def _complete(
+        self, key: str, result: OptimizationResult, record: RequestMetrics
+    ) -> None:
+        """Fold in a freshly computed result: the one cache-store rule.
+
+        Only completed runs are cached (neither ``timed_out`` nor
+        ``deadline_hit``), and never a result the scheduler rerouted
+        away from what the fingerprint promises.
+        """
+        if not (result.timed_out or result.deadline_hit or record.rerouted):
+            self.cache.put(key, result)
+        self._dispatch(record)
+
+    def _record(
         self,
         request: OptimizationRequest,
         fingerprint: str,
@@ -744,8 +643,8 @@ class OptimizerService:
         cache_hit: bool,
         rerouted: bool = False,
         degraded: bool = False,
-    ) -> None:
-        record = RequestMetrics(
+    ) -> RequestMetrics:
+        return RequestMetrics(
             fingerprint=fingerprint,
             query_name=request.query_name,
             algorithm=request.algorithm,
@@ -762,7 +661,6 @@ class OptimizerService:
             ),
             phase_ms={} if cache_hit else dict(result.phase_ms),
         )
-        self._dispatch(record)
 
     def _dispatch(self, record: RequestMetrics) -> None:
         """Fold one record (local or shipped from a worker) in."""

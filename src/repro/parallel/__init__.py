@@ -1,13 +1,12 @@
-"""Parallel optimization backend: process pools, sharding, deadlines.
+"""Parallel optimization backend: process pools and deadlines.
 
-Three cooperating pieces turn the single-process optimizer into a
+Two cooperating pieces turn the single-process optimizer into a
 multi-core service backend:
 
 * :class:`WorkerPool` — warm, spawn-safe worker processes, each with
-  its own algorithm registry, cost model and plan cache; results and
-  per-request metrics ship back to the parent.
-* :class:`ShardPlanner` — batch-level sharding by request fingerprint:
-  equal requests land on the same worker and hit its plan cache.
+  its own algorithm registry, cost model and plan cache; one request
+  per dispatch, and its result and per-request metrics ship back to
+  the parent.
 * :class:`DeadlineScheduler` — end-to-end per-request deadlines:
   queueing counts, near-deadline requests reroute to the anytime IRA,
   and missed deadlines surface as ``OptimizationResult.deadline_hit``.
@@ -22,13 +21,11 @@ from repro.parallel.pool import (
     default_worker_count,
     usable_cpu_count,
 )
-from repro.parallel.sharding import ShardPlanner
 from repro.parallel.worker import WorkerSetup
 
 __all__ = [
     "DeadlineScheduler",
     "ScheduledRequest",
-    "ShardPlanner",
     "WorkerPool",
     "WorkerSetup",
     "default_worker_count",

@@ -9,10 +9,12 @@ and identical behavior on every platform) initialized once with the
 service's schema/config/params, after which it stays warm and reuses
 its algorithm registry, cost model and plan cache across requests.
 
-Results and per-request :class:`RequestMetrics` ship back pickled; the
-owning :class:`~repro.core.service.OptimizerService` merges the records
-into its :class:`ServiceMetrics`, so observability is identical across
-backends.
+Each dispatch carries one request (:meth:`WorkerPool.execute_one`); the
+owning :class:`~repro.core.service.OptimizerService` runs a batch as
+concurrent dispatches from a thread fan-out. Results and per-request
+:class:`RequestMetrics` ship back pickled; the service merges the
+records into its :class:`ServiceMetrics`, so observability is identical
+across backends.
 
 **Supervision.** A single SIGKILLed worker poisons a
 ``ProcessPoolExecutor`` permanently: every in-flight future raises
@@ -44,11 +46,11 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import threading
-from concurrent.futures import CancelledError
+from concurrent.futures import CancelledError, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.catalog.schema import Schema
 from repro.config import DEFAULT_CONFIG, OptimizerConfig
@@ -58,11 +60,9 @@ from repro.core.result import OptimizationResult
 from repro.cost.postgres_params import DEFAULT_PARAMS, CostParams
 from repro.exceptions import WorkerCrashError
 from repro.obs.trace import Span, TraceContext, active_tracer
-from repro.parallel.sharding import ShardPlanner
 from repro.parallel.worker import (
     WorkerSetup,
     execute_request,
-    execute_request_group,
     initialize_worker,
     ping,
 )
@@ -219,14 +219,26 @@ class WorkerPool:
         self._emit("respawn")
         return True
 
-    def _submit(self, fn, args, clean_args=None) -> _Submission:
+    def _send(self, fn, args) -> Future:  # holds-lock: _lock
+        """Submit to the current executor.
+
+        An executor that a concurrent dispatch's dead worker already
+        broke refuses new work until someone respawns it; that refusal
+        comes back as a failed future, so :meth:`_await` recovers it
+        like any other broken dispatch.
+        """
+        try:
+            return self._executor.submit(fn, *args)
+        except BrokenProcessPool as exc:
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
+
+    def _submit(self, fn, args, clean_args) -> _Submission:
         with self._lock:
             generation = self._generation
-            future = self._executor.submit(fn, *args)
-        return _Submission(
-            fn, args, clean_args if clean_args is not None else args,
-            future, generation,
-        )
+            future = self._send(fn, args)
+        return _Submission(fn, args, clean_args, future, generation)
 
     def _wait_ready(self, timeout: float = 60.0) -> None:
         """Block until the executor has an initialized worker.
@@ -251,9 +263,7 @@ class WorkerPool:
         """Re-send a failed dispatch once, chaos faults stripped."""
         with self._lock:
             generation = self._generation
-            future = self._executor.submit(
-                submission.fn, *submission.clean_args
-            )
+            future = self._send(submission.fn, submission.clean_args)
             self.redispatches += 1
         submission.future = future
         submission.generation = generation
@@ -287,14 +297,6 @@ class WorkerPool:
                         self._redispatch(submission)
                 else:
                     self._redispatch(submission)
-
-    def _await_safe(self, submission: _Submission):
-        """Like :meth:`_await`, but returns the crash instead of raising
-        (batch mode: one poisoned dispatch must not fail its siblings)."""
-        try:
-            return self._await(submission)
-        except WorkerCrashError as crash:
-            return crash
 
     # ------------------------------------------------------------------
     def warm_up(self, timeout: float = 60.0) -> list[str]:
@@ -339,98 +341,16 @@ class WorkerPool:
     ) -> tuple[OptimizationResult, RequestMetrics, list[Span]]:
         """Execute one request on a worker, blocking until it finishes.
 
-        The single-request analogue of :meth:`execute_many` —
-        :meth:`OptimizerService.submit` routes cache misses here under
-        the process backend. ``trace_ctx`` parents the worker's spans
-        under the caller's span; they ship back in the third slot.
-        Supervised: survives one worker death / hang per dispatch.
+        :meth:`OptimizerService.submit` (and so every request of an
+        ``optimize_many`` batch) routes cache misses here under the
+        process backend; callers run several at once from threads.
+        ``trace_ctx`` parents the worker's spans under the caller's
+        span; they ship back in the third slot. Supervised: survives
+        one worker death / hang per dispatch.
         """
         return self._await(
             self._submit_request(request, deadline_epoch, trace_ctx)
         )
-
-    def execute_many(
-        self,
-        requests: Sequence[OptimizationRequest],
-        deadline_epochs: Sequence[float | None] | None = None,
-        *,
-        shard_by_fingerprint: bool = False,
-        default_config: OptimizerConfig | None = None,
-        trace_ctx: TraceContext | None = None,
-        on_crash: str = "raise",
-    ) -> list[tuple[OptimizationResult, RequestMetrics, list[Span]]]:
-        """Execute a batch on the pool; results keep the input order.
-
-        ``shard_by_fingerprint=True`` routes the batch through
-        :meth:`ShardPlanner.partition_requests`: one task per shard,
-        each executing its requests sequentially on one worker, so
-        fingerprint-equal requests hit that worker's plan cache.
-        The default submits one task per request — best load balance
-        when the batch has no repeats. ``trace_ctx`` (when the caller
-        is tracing) parents every request's worker-side spans under the
-        caller's span; they ship back per request in the third slot.
-
-        Supervised like :meth:`execute_one`: everything submits up
-        front (full parallelism), and each dispatch independently
-        survives one infrastructure failure — a single worker death
-        mid-batch costs one respawn plus re-dispatches of the
-        not-yet-finished tasks, not the batch. ``on_crash="return"``
-        replaces unsalvageable dispatches' outputs with their
-        :class:`WorkerCrashError` (every shipped position of a crashed
-        shard group) instead of raising, so the caller can recover the
-        rest of the batch.
-        """
-        if on_crash not in ("raise", "return"):
-            raise ValueError(
-                f"on_crash must be 'raise' or 'return', got {on_crash!r}"
-            )
-        gather = self._await if on_crash == "raise" else self._await_safe
-        requests = list(requests)
-        if deadline_epochs is None:
-            deadline_epochs = [None] * len(requests)
-        deadline_epochs = list(deadline_epochs)
-        if len(deadline_epochs) != len(requests):
-            raise ValueError("one deadline epoch per request is required")
-        if not requests:
-            return []
-        if shard_by_fingerprint:
-            planner = ShardPlanner(num_shards=self.workers)
-            groups = planner.partition_requests(requests, default_config)
-            submissions = []
-            for group in groups:
-                fault = (
-                    self.chaos.draw_dispatch()
-                    if self.chaos is not None
-                    else None
-                )
-                grouped_requests = tuple(
-                    requests[position] for position in group
-                )
-                grouped_epochs = tuple(
-                    deadline_epochs[position] for position in group
-                )
-                submissions.append(
-                    self._submit(
-                        execute_request_group,
-                        (grouped_requests, grouped_epochs, trace_ctx, fault),
-                        (grouped_requests, grouped_epochs, trace_ctx, None),
-                    )
-                )
-            outputs: list = [None] * len(requests)
-            for group, submission in zip(groups, submissions):
-                gathered = gather(submission)
-                if isinstance(gathered, WorkerCrashError):
-                    for position in group:
-                        outputs[position] = gathered
-                else:
-                    for position, output in zip(group, gathered):
-                        outputs[position] = output
-            return outputs
-        submissions = [
-            self._submit_request(request, epoch, trace_ctx)
-            for request, epoch in zip(requests, deadline_epochs)
-        ]
-        return [gather(submission) for submission in submissions]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, object]:

@@ -117,8 +117,8 @@ def execute_request(
     one) resolves the remaining budget inside ``submit`` — at dequeue
     time, so time the request spent queueing in the parent and in the
     pool's call queue counts against its deadline. The worker's plan
-    cache keys on the *original* request fingerprint, so
-    fingerprint-sharded repeats deduplicate even under a scheduler.
+    cache keys on the *original* request fingerprint, like the
+    parent's.
 
     ``trace_ctx`` (when the parent is tracing) parents this worker's
     spans under the caller's span; the finished spans ship back pickled
@@ -152,24 +152,3 @@ def execute_request(
     record = dataclasses.replace(captured[-1], worker=worker_name())
     return result, record, spans
 
-
-def execute_request_group(
-    requests: tuple[OptimizationRequest, ...],
-    deadline_epochs: tuple[float | None, ...],
-    trace_ctx: TraceContext | None = None,
-    fault: Fault | None = None,
-) -> list[tuple[OptimizationResult, RequestMetrics, list[Span]]]:
-    """Execute a fingerprint-sharded group sequentially on one worker.
-
-    Sequential execution is the point: repeats within the group hit this
-    worker's plan cache instead of racing each other. A chaos ``fault``
-    fires once, at group entry — one drawn fault per dispatch, same as
-    the unsharded path.
-    """
-    poison = apply_fault(fault)
-    if poison is not None:
-        return poison  # unpicklable: the 'pickle' fault firing
-    return [
-        execute_request(request, epoch, trace_ctx)
-        for request, epoch in zip(requests, deadline_epochs)
-    ]

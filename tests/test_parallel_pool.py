@@ -1,4 +1,4 @@
-"""Process-pool backend: worker execution, caching, metrics, sharding.
+"""Process-pool backend: worker execution, caching, metrics, tracing.
 
 These tests spin up real (spawn) worker processes — the pool is built
 once per module and shared, because each spawn imports the package.
@@ -17,6 +17,7 @@ from repro.core.service import OptimizerService
 from repro.core.preferences import Preferences
 from repro.cost.objectives import Objective
 from repro.exceptions import OptimizerError
+from repro.obs.trace import Tracer
 from repro.parallel.deadline import DeadlineScheduler
 from tests.conftest import TINY_CONFIG, make_chain_query, make_small_schema
 
@@ -103,10 +104,11 @@ class TestProcessBackend:
         assert results[0].plan_cost == results[2].plan_cost
         assert results[1].plan_cost == results[4].plan_cost
 
-    def test_worker_cache_dedups_budgeted_repeats(self, service):
-        """Fingerprint sharding + scheduler: repeats still hit the
-        worker cache because it keys on the original fingerprint, not
-        the time-varying resolved timeout."""
+    def test_batch_repeats_hit_cache_after_first_wave(self, service):
+        """Under a scheduler, a batch's repeats run in a second wave
+        after the first occurrence and hit the parent cache, because
+        it keys on the original fingerprint, not the time-varying
+        resolved timeout."""
         request = make_request(alpha=1.83, timeout_seconds=120.0)
         batch = [request] * 4
         hits_before = service.metrics.snapshot()["cache_hits"]
@@ -143,18 +145,6 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(OptimizerError):
             OptimizerService(make_small_schema(), backend="gpu")
-        service = OptimizerService(
-            make_small_schema(), config=TINY_CONFIG, backend="inline"
-        )
-        with pytest.raises(OptimizerError):
-            service.optimize_many([make_request()], backend="gpu")
-
-    def test_per_call_backend_override(self, service):
-        # The process-backed service can still run a batch inline.
-        results = service.optimize_many(
-            [make_request(alpha=1.18)], backend="inline"
-        )
-        assert results[0].plan is not None
 
     def test_close_is_idempotent(self, parallel_workers):
         service = OptimizerService(
@@ -165,3 +155,63 @@ class TestBackendSelection:
         service.optimize_many([make_request(), make_request(alpha=2.0)])
         service.close()
         service.close()
+
+    def test_closed_service_batch_does_not_restart_the_pool(
+        self, parallel_workers
+    ):
+        """A closed process-backend service answers a batch in-process,
+        exactly as ``submit`` does, instead of starting a new pool."""
+        service = OptimizerService(
+            make_small_schema(), config=TINY_CONFIG,
+            backend="processes", workers=parallel_workers,
+        )
+        service.close()
+        results = service.optimize_many(
+            [make_request(alpha=1.21), make_request(alpha=1.22)]
+        )
+        assert all(result.plan is not None for result in results)
+        assert service.resilience_snapshot()["pool"] is None
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_traced_batch_keeps_per_request_spans(backend, parallel_workers):
+    """Every request of a traced batch records its spans under the
+    caller's enclosing span: on threads the cache lookup and the
+    algorithm run, on processes a dispatch span with the worker's
+    spans nested under it."""
+    requests = [make_request(alpha=1.51), make_request(alpha=1.52)]
+    tracer = Tracer()
+    with OptimizerService(
+        make_small_schema(), config=TINY_CONFIG,
+        backend=backend, workers=parallel_workers,
+    ) as service:
+        with tracer.activate(), tracer.span("batch") as batch:
+            service.optimize_many(requests, max_workers=2)
+    spans = tracer.drain()
+    by_id = {span.span_id: span for span in spans}
+
+    def under(span, ancestor):
+        parent = by_id.get(span.parent_id)
+        while parent is not None:
+            if parent.span_id == ancestor.span_id:
+                return True
+            parent = by_id.get(parent.parent_id)
+        return False
+
+    def named(name):
+        return [span for span in spans if span.name == name]
+
+    root = batch.span
+    assert len(named("cache.lookup")) >= len(requests)
+    assert all(under(span, root) for span in named("cache.lookup"))
+    algorithm_spans = named("algorithm.rta")
+    assert len(algorithm_spans) == len(requests)
+    assert all(under(span, root) for span in algorithm_spans)
+    if backend == "processes":
+        dispatches = named("pool.dispatch")
+        assert len(dispatches) == len(requests)
+        assert all(span.parent_id == root.span_id for span in dispatches)
+        assert all(
+            any(under(span, dispatch) for dispatch in dispatches)
+            for span in algorithm_spans
+        )
