@@ -22,6 +22,7 @@ _METRICS: dict[str, Callable[[Aggregate], float]] = {
     "pareto plans": lambda a: a.avg_pareto_plans,
     "iterations": lambda a: a.avg_iterations,
     "w-cost (%)": lambda a: a.avg_weighted_cost_pct,
+    "infeasible (%)": lambda a: a.infeasible_pct,
 }
 
 #: Metrics shown for each figure (papers' panel rows).
@@ -30,7 +31,7 @@ FIGURE5_METRICS = ("timeouts (%)", "opt time (ms)", "memory (KB)",
 FIGURE9_METRICS = ("timeouts (%)", "opt time (ms)", "memory (KB)",
                    "pareto plans", "w-cost (%)")
 FIGURE10_METRICS = ("timeouts (%)", "opt time (ms)", "memory (KB)",
-                    "iterations", "w-cost (%)")
+                    "iterations", "w-cost (%)", "infeasible (%)")
 
 
 def _format_value(value: float) -> str:

@@ -157,6 +157,9 @@ class Aggregate:
     avg_pareto_plans: float = 0.0
     avg_iterations: float = 0.0
     avg_weighted_cost_pct: float = 0.0
+    #: Share of cases proven infeasible: the run finished and its final
+    #: set held no plan within the bounds (SelectBest picks one if any).
+    infeasible_pct: float = 0.0
     records: list[RunRecord] = field(default_factory=list)
 
 
@@ -268,6 +271,9 @@ def _aggregate(
         avg_weighted_cost_pct=(
             _mean(cost_percentages) if cost_percentages else float("nan")
         ),
+        infeasible_pct=100.0 * sum(
+            not (r.timed_out or r.respects_bounds) for r in records
+        ) / count,
         records=records,
     )
 

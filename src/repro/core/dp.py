@@ -22,18 +22,20 @@ plan)`` candidates through the kernels of
 :meth:`~repro.cost.model.CostModel.index_nl_cost_block` — one call per
 join method covers every DOP, and a run of small pairs, which may span
 table sets, is gathered into one call — then masks each set's rows with
-:meth:`repro.core.pruning.PlanSet.block_accept` and materializes
-:class:`~repro.plans.plan.JoinPlan` objects only for surviving rows.
+:meth:`repro.core.pruning.PlanSet.block_accept`, stores the accepted
+rows with one :meth:`~repro.core.pruning.PlanSet.insert_block` call
+per slice, and materializes :class:`~repro.plans.plan.JoinPlan` objects
+only for the rows that stay in the set.
 
 **Determinism contract:** candidates are visited in one fixed order
 (split, operand order, spec — generic specs, then index-nested-loop
 specs per probe — outer, inner), the kernels mirror the scalar
 ``join_cost`` formulas operation for operation, and ``block_accept``
-plus ordered ``force_insert`` equals a sequential ``insert`` for every
-pruning structure. So the plan sets, entry order included, equal those
-of a per-candidate loop (``tests/helpers.py`` keeps it as the
-reference), whatever the block boundaries. ``repro lint`` rule REP001
-enforces the preconditions statically: no unseeded RNG, wall-clock
+plus ``insert_block`` equals a sequential ``insert`` for every pruning
+structure. So the plan sets, entry order included, equal those of a
+per-candidate loop (``tests/helpers.py`` keeps it as the reference,
+with ``covers`` and ``force_insert``), whatever the block boundaries.
+``repro lint`` rule REP001 enforces the preconditions statically: no unseeded RNG, wall-clock
 reads, or unordered set iteration may feed results in this module (the
 deadline checks and phase timers below carry per-line ``lint-allow``
 suppressions because they only gate *when* enumeration stops, never
@@ -545,7 +547,9 @@ class DPRun:
         ``pieces`` are ``(costs, out_rows)`` as :meth:`_cost_joins`
         returns them, and ``segments`` say which spec and operands each
         row joins. The rows are masked by ``block_accept`` in slices of
-        :data:`_ACCEPT_ROWS`, and only surviving rows materialize plans.
+        :data:`_ACCEPT_ROWS`; each slice's accepted rows go into the set
+        in one :meth:`~repro.core.pruning.PlanSet.insert_block` call,
+        which materializes plans only for the rows that stay.
         """
         counters = self.counters
         timers = self._phase_timers
@@ -566,20 +570,15 @@ class DPRun:
                     (projected, out_rows[:, None]), axis=1
                 )
         starts = [segment[0] for segment in segments]
-        for start in range(0, n_rows, _ACCEPT_ROWS):
-            prune_start = _time.perf_counter() if timers else 0.0  # lint-allow: REP001 phase timer; measured, never decided on
-            keep = target.block_accept(projected[start:start + _ACCEPT_ROWS])
-            if timers:
-                materialize_start = _time.perf_counter()  # lint-allow: REP001 phase timer; measured, never decided on
-                counters.pruning_ms += (
-                    materialize_start - prune_start
-                ) * 1000.0
-            rows = np.flatnonzero(keep) + start
+
+        def build(rows: np.ndarray) -> list[tuple[tuple, JoinPlan]]:
+            """The (key, plan) entries of candidate ``rows``."""
             owners = np.searchsorted(starts, rows, "right") - 1
             kept_costs = costs[rows].tolist()
             kept_keys = (
                 kept_costs if full_projection else projected[rows].tolist()
             )
+            entries = []
             for row, owner, cost, key, row_count in zip(
                 rows.tolist(), owners.tolist(), kept_costs, kept_keys,
                 out_rows[rows].tolist(),
@@ -594,13 +593,27 @@ class DPRun:
                 left_plan = outer_plans[candidate // n_inner]
                 right_plan = inner_plans[candidate % n_inner]
                 cost = tuple(cost)
-                target.force_insert(
+                entries.append((
                     cost if full_projection else tuple(key),
                     JoinPlan(
                         specs[spec], left_plan, right_plan, row_count,
                         left_plan.width + right_plan.width, cost, cost[8],
                     ),
-                )
+                ))
+            return entries
+
+        for start in range(0, n_rows, _ACCEPT_ROWS):
+            prune_start = _time.perf_counter() if timers else 0.0  # lint-allow: REP001 phase timer; measured, never decided on
+            keep = target.block_accept(projected[start:start + _ACCEPT_ROWS])
+            if timers:
+                materialize_start = _time.perf_counter()  # lint-allow: REP001 phase timer; measured, never decided on
+                counters.pruning_ms += (
+                    materialize_start - prune_start
+                ) * 1000.0
+            rows = np.flatnonzero(keep) + start
+            target.insert_block(
+                projected[rows], lambda positions: build(rows[positions])
+            )
             if timers:
                 counters.materialize_ms += (
                     _time.perf_counter() - materialize_start  # lint-allow: REP001 phase timer; measured, never decided on

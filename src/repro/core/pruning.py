@@ -35,14 +35,20 @@ Block operations: the batched enumerator of :mod:`repro.core.dp` tests
 whole candidate blocks via :meth:`PlanSet.block_accept` — a coverage
 check against the stored entries (:meth:`PlanSet.covers_many`, with the
 thresholds of :meth:`PlanSet.covers`) followed by an ordered sweep
-against the block's earlier *accepted* candidates. **Determinism
-contract:** for every structure here, ``block_accept`` plus an ordered
-replay of :meth:`PlanSet.force_insert` equals inserting the candidates
-one by one. For ``PlanSet`` this holds because discards use *exact*
-dominance: a discarded entry is covered by its discarder, so removing
-it never un-covers a later candidate. :class:`AggressivePlanSet`
-discards *approximately* dominated entries, so its ``block_accept``
-replays its own insert/discard loop instead.
+against the block's earlier *accepted* candidates — and stores the
+accepted rows with one :meth:`PlanSet.insert_block` call, which
+settles them in one matrix pass and builds plans only for the rows
+that stay. **Determinism contract:** for every structure here,
+``block_accept`` plus ``insert_block`` equals inserting the candidates
+one by one with :meth:`PlanSet.insert`. For ``PlanSet`` this holds
+because discards use *exact* dominance: a discarded entry is covered
+by its discarder, so removing it never un-covers a later candidate,
+and which rows and entries survive a block does not depend on the
+order of the discards. :class:`AggressivePlanSet` discards
+*approximately* dominated entries, so its ``block_accept`` and
+``insert_block`` replay its own insert/discard loop instead.
+:meth:`PlanSet.force_insert` (insert without the coverage check) stays
+as the per-row reference that the tests replay.
 
 ``repro lint`` rule REP001 statically enforces this module's side of
 the contract: no ambient entropy (unseeded RNG, clock reads, unordered
@@ -51,7 +57,7 @@ set iteration) may influence which plans are kept.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -169,6 +175,48 @@ class PlanSet:
         self._discard_dominated(cost)
         self._append(cost, plan)
 
+    def insert_block(
+        self,
+        keys: np.ndarray,
+        build: Callable[[np.ndarray], list[Entry]],
+    ) -> None:
+        """Insert a block's accepted rows at once (caller ran
+        :meth:`block_accept`); equals :meth:`force_insert` of each row
+        in order, entry order and stored costs included.
+
+        ``keys`` is the ``(k, width)`` matrix of accepted rows, and
+        ``build(positions)`` returns the ``(cost, plan)`` entries of the
+        rows at ``positions`` (cost tuples equal to those rows), so
+        plans are built only for the rows that stay. Exact discards
+        make the replay's outcome order-free: a row stays iff no
+        *later* row dominates it, and a stored entry goes iff any row
+        does — equivalently, any staying row, since exact dominance is
+        transitive. The survivors keep their order, followed by the
+        staying rows in order.
+        """
+        if len(keys) == 0:
+            return
+        # dominated[i, j]: row j dominates row i. ANDing the
+        # per-dimension (k, k) comparisons keeps the temporaries at
+        # k x k, never k x k x width.
+        dominated = keys[None, :, 0] <= keys[:, 0, None]
+        for dimension in range(1, keys.shape[1]):
+            dominated &= keys[None, :, dimension] <= keys[:, dimension, None]
+        stay = np.flatnonzero(~np.triu(dominated, 1).any(axis=1))
+        kept = keys[stay]
+        size = self._size
+        if size:
+            discarded = _covered_rows(kept, self._costs[:size])
+            if discarded.any():
+                self._rebuild(~discarded)
+                size = self._size
+        self.entries.extend(build(stay))
+        end = size + len(stay)
+        self._reserve(end, keys.shape[1])
+        self._costs[size:end] = kept
+        self._size = end
+        self._block = None
+
     # ------------------------------------------------------------------
     # Block operations (batched enumeration)
     # ------------------------------------------------------------------
@@ -197,8 +245,8 @@ class PlanSet:
         ``alive`` mask over the survivors records the drops, so no step
         copies the arrays; a dropped survivor never drops another, which
         keeps the sweep greedy when approximate dominance is not
-        transitive. Replaying :meth:`force_insert` for the accepted rows
-        in order reproduces the sequential insert loop bit for bit
+        transitive. :meth:`insert_block` of the accepted rows then
+        reproduces the sequential :meth:`insert` loop bit for bit
         (module docstring: determinism contract).
         """
         thresholds = self._block_thresholds(candidates)
@@ -297,14 +345,25 @@ class PlanSet:
         self.entries.append((cost, plan))
         self._block = None
         size = self._size
-        if self._costs is None:
-            self._costs = np.empty((_INITIAL_CAPACITY, len(cost)))
-        elif size == self._costs.shape[0]:
-            grown = np.empty((size * 2, self._costs.shape[1]))
-            grown[:size] = self._costs
-            self._costs = grown
+        self._reserve(size + 1, len(cost))
         self._costs[size] = cost
         self._size = size + 1
+
+    def _reserve(self, rows: int, width: int) -> None:
+        """Grow the cost matrix (doubling) to hold at least ``rows``."""
+        if self._costs is None:
+            capacity = max(_INITIAL_CAPACITY, rows)
+            self._costs = np.empty((capacity, width))
+            return
+        capacity = self._costs.shape[0]
+        if rows <= capacity:
+            return
+        while capacity < rows:
+            capacity *= 2
+        size = self._size
+        grown = np.empty((capacity, width))
+        grown[:size] = self._costs[:size]
+        self._costs = grown
 
     def _rebuild(self, keep_mask: np.ndarray) -> None:
         """Compact storage to the entries selected by ``keep_mask``."""
@@ -398,6 +457,20 @@ class AggressivePlanSet(PlanSet):
             size += 1
         return keep
 
+    def insert_block(
+        self,
+        keys: np.ndarray,
+        build: Callable[[np.ndarray], list[Entry]],
+    ) -> None:
+        """Ordered :meth:`force_insert` replay of the accepted rows.
+
+        An approximate discard is not decided by the rows alone (a row
+        may discard an entry that does not dominate it exactly), so
+        every row is built and inserted in turn.
+        """
+        for cost, plan in build(np.arange(len(keys))):
+            self.force_insert(cost, plan)
+
     def _discard_dominated(self, cost: CostTuple) -> None:
         size = self._size
         if size == 0:
@@ -453,6 +526,17 @@ class SingleBestPlanSet(PlanSet):
 
     def force_insert(self, cost: CostTuple, plan: Plan) -> None:
         self.insert(cost, plan)
+
+    def insert_block(
+        self,
+        keys: np.ndarray,
+        build: Callable[[np.ndarray], list[Entry]],
+    ) -> None:
+        """Keep the last accepted row: each accepted row improves on the
+        one before (:meth:`block_accept`), so the replay ends with it."""
+        if len(keys):
+            (cost, plan), = build(np.array([len(keys) - 1]))
+            self.insert(cost, plan)
 
     def block_accept(self, candidates: np.ndarray) -> np.ndarray:
         """Accept exactly the candidates that improve the running best.

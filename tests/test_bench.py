@@ -153,6 +153,21 @@ class TestRunner:
         assert "q3/l=3" in text
         assert "RTA(2)" in text
 
+    def test_infeasible_share_counts_finished_runs_only(self):
+        from repro.bench.runner import RunRecord, _aggregate
+
+        variant = Variant("EXA", "exa")
+        records = [
+            RunRecord(variant, 10, index, 1.0, 1.0, 1, 1, 1, 1,
+                      timed_out, 1.0, respects_bounds)
+            for index, (timed_out, respects_bounds) in enumerate([
+                (False, True), (False, False), (True, False),
+            ])
+        ]
+        aggregate = _aggregate(variant, 10, records, [1.0] * 3, [1.0] * 3)
+        # A timed-out run proves nothing about the bounds.
+        assert aggregate.infeasible_pct == pytest.approx(100.0 / 3)
+
     def test_empty_cases_rejected(self):
         optimizer = make_optimizer(timeout_seconds=1.0)
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """IRA guarantees: bounded-weighted MOQO near-optimality (Theorem 6)."""
 
+import importlib
 import random
 
 import pytest
 
 from repro import INFINITY, Objective, Preferences
 from repro.core.ira import (
+    _bound_violation_gap,
     halving_policy,
     ira,
     iteration_precision,
@@ -206,3 +208,58 @@ class TestRefinementPolicies:
             )
             if optimum > 0:
                 assert result.weighted_cost <= optimum * alpha * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("bounds, alpha, iterations, plan_cost", [
+    # No plan respects either bound pair. The second's zero loss bound
+    # leaves only the unsampled plans relaxed-feasible.
+    ((4.3, 44300.0, INFINITY), 2.0, 16, (1.812648, 49733.52, 0.999992)),
+    ((4.3, 44300.0, INFINITY), 1.5, 11, (1.812648, 49733.52, 0.999992)),
+    ((198.0, 64300.0, 0.0), 2.0, 20, (1.812648, 49220.88, 0.999992)),
+])
+def test_ira_jumps_the_schedule_on_jointly_infeasible_bounds(
+    setup, monkeypatch, bounds, alpha, iterations, plan_cost
+):
+    """The schedule skips the precisions that the smallest bound
+    violation cannot pass under: fewer DP runs than schedule indices,
+    with the index and plan that stepping one index at a time gave."""
+    model, query, all_plans = setup
+    prefs = Preferences(
+        objectives=OBJECTIVES, weights=(1.0, 1.0, 1.0), bounds=bounds
+    )
+    projected = [project(p.cost, prefs.indices) for p in all_plans]
+    assert not any(respects_bounds(c, bounds) for c in projected)
+    ira_module = importlib.import_module("repro.core.ira")
+    runs = []
+    find_pareto_plans = ira_module.find_pareto_plans
+
+    def counting(*args, **kwargs):
+        runs.append(args[3])
+        return find_pareto_plans(*args, **kwargs)
+
+    monkeypatch.setattr(ira_module, "find_pareto_plans", counting)
+    result = ira(query, model, prefs, alpha, TINY_CONFIG)
+    assert not result.timed_out
+    assert result.iterations == iterations
+    assert len(runs) < result.iterations
+    assert runs == sorted(runs, reverse=True)
+    assert result.plan_cost == plan_cost
+
+
+class TestBoundViolationGap:
+    def test_smallest_violation_over_the_set(self):
+        entries = [((3.0, 1.0), "a"), ((1.5, 4.0), "b")]
+        assert _bound_violation_gap(entries, (2.0, 2.0)) == 1.5
+
+    def test_a_plan_within_bounds_means_no_gap(self):
+        entries = [((3.0, 1.0), "a"), ((2.0, 2.0), "b")]
+        assert _bound_violation_gap(entries, (2.0, 2.0)) == INFINITY
+
+    def test_zero_bound_with_zero_cost_is_ratio_zero(self):
+        entries = [((0.0, 3.0), "a"), ((0.5, 2.5), "b")]
+        # "b"'s positive cost on the zero bound is an infinite ratio.
+        assert _bound_violation_gap(entries, (0.0, 2.0)) == 1.5
+
+    def test_infinite_bounds_are_skipped(self):
+        entries = [((1e30, 3.0), "a")]
+        assert _bound_violation_gap(entries, (INFINITY, 2.0)) == 1.5

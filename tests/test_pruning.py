@@ -239,3 +239,174 @@ class TestSingleBestPlanSet:
         assert plan_set.entries[0][1] == "a"
         plan_set.force_insert((3.0,), "c")
         assert plan_set.entries[0][1] == "c"
+
+
+def replay_entries(plan_set):
+    """Entries, size and stored cost rows: the state insert_block keeps."""
+    size = len(plan_set)
+    costs = [] if size == 0 else plan_set._costs[:size].tolist()
+    return plan_set.entries, size, costs
+
+
+def block_builder(keys, labels, built):
+    """``build`` for insert_block: row ``p`` becomes plan ``labels[p]``;
+    the positions asked for are appended to ``built``."""
+    def build(positions):
+        built.extend(positions.tolist())
+        return [
+            (tuple(keys[position].tolist()), int(labels[position]))
+            for position in positions
+        ]
+    return build
+
+
+#: Rows on a coarse grid: equal and exactly dominated rows are common.
+grid_values = st.sampled_from([1.0, 2.0, 3.0, 4.5])
+
+
+@st.composite
+def stored_and_block(draw):
+    width = draw(st.sampled_from([3, 9]))
+    row = st.lists(grid_values, min_size=width, max_size=width)
+    stored = draw(st.lists(row, max_size=40))
+    block = draw(st.lists(row, min_size=1, max_size=40))
+    return np.array(stored).reshape(-1, width), np.array(block)
+
+
+class TestInsertBlock:
+    """insert_block equals the ordered force_insert replay of its rows:
+    entries, their order and the stored cost matrix."""
+
+    @staticmethod
+    def filled(factory, stored):
+        plan_set = factory()
+        for position, row in enumerate(stored.tolist()):
+            plan_set.insert(tuple(row), -1 - position)
+        return plan_set
+
+    @pytest.mark.parametrize("factory", [
+        PlanSet,
+        lambda: PlanSet(alpha=1.5),
+        lambda: PlanSet(alpha=1.5, exact_suffix=1),
+        lambda: AggressivePlanSet(alpha=1.5),
+    ], ids=["exact", "approximate", "exact-suffix", "aggressive"])
+    @given(stored_and_block())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_force_insert_replay(self, factory, stored_block):
+        stored, block = stored_block
+        replayed = self.filled(factory, stored)
+        batched = self.filled(factory, stored)
+        for position, row in enumerate(block.tolist()):
+            replayed.force_insert(tuple(row), position)
+        built = []
+        batched.insert_block(
+            block, block_builder(block, range(len(block)), built)
+        )
+        assert replay_entries(batched) == replay_entries(replayed)
+        if type(batched) is PlanSet:
+            # Plans are built only for the rows that stay.
+            assert built == [
+                plan for _, plan in batched.entries if plan >= 0
+            ]
+
+    @pytest.mark.parametrize("alpha, exact_suffix", [
+        (1.0, 0), (1.5, 0), (1.5, 1),
+    ])
+    @given(stored_and_block())
+    @settings(max_examples=60, deadline=None)
+    def test_after_block_accept_equals_sequential_insert(
+        self, alpha, exact_suffix, stored_block
+    ):
+        stored, block = stored_block
+
+        def factory():
+            return PlanSet(alpha=alpha, exact_suffix=exact_suffix)
+
+        sequential = self.filled(factory, stored)
+        batched = self.filled(factory, stored)
+        for position, row in enumerate(block.tolist()):
+            sequential.insert(tuple(row), position)
+        accepted = np.flatnonzero(batched.block_accept(block))
+        batched.insert_block(
+            block[accepted], block_builder(block[accepted], accepted, [])
+        )
+        assert replay_entries(batched) == replay_entries(sequential)
+
+    @pytest.mark.parametrize("width", [3, 9])
+    @pytest.mark.parametrize("stored_rows", [0, 5, 40])
+    def test_later_rows_discard_earlier_ones(self, width, stored_rows):
+        """Equal rows (the later one discards the earlier) and a row
+        discarded by a later, smaller one, against stored sets below and
+        above the small-set size."""
+        # An antichain (dimension 0 rises, dimension 1 falls); odd rows
+        # are below 6.0 in their last dimension.
+        stored = np.full((stored_rows, width), 10.0)
+        stored[:, 0] += np.arange(stored_rows)
+        stored[:, 1] += stored_rows - np.arange(stored_rows)
+        stored[1::2, -1] = 2.0
+        block = np.array([
+            np.full(width, 7.0),
+            np.full(width, 7.0),                  # equal: discards row 0
+            np.r_[20.0, np.full(width - 1, 1.0)],
+            np.full(width, 6.0),                  # discards row 1
+            np.r_[1.0, np.full(width - 1, 20.0)],
+            np.r_[1.0, np.full(width - 1, 20.0)],  # discards row 4
+        ])
+        replayed = self.filled(PlanSet, stored)
+        batched = self.filled(PlanSet, stored)
+        assert len(batched) == stored_rows
+        for position, row in enumerate(block.tolist()):
+            replayed.force_insert(tuple(row), position)
+        built = []
+        batched.insert_block(
+            block, block_builder(block, range(len(block)), built)
+        )
+        assert replay_entries(batched) == replay_entries(replayed)
+        assert built == [2, 3, 5]
+        # Row 3 discards the even stored rows and row 2 those from 10 on.
+        assert [plan for _, plan in batched.entries] == [
+            -1 - k for k in range(1, min(stored_rows, 10), 2)
+        ] + [2, 3, 5]
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_row_accepted_early_is_discarded_later(self, alpha):
+        block = np.array([[7.0, 7.0, 7.0], [20.0, 1.0, 1.0],
+                          [4.0, 4.0, 4.0], [4.0, 4.0, 4.0]])
+        sequential = PlanSet(alpha=alpha)
+        batched = PlanSet(alpha=alpha)
+        for position, row in enumerate(block.tolist()):
+            sequential.insert(tuple(row), position)
+        accepted = np.flatnonzero(batched.block_accept(block))
+        assert accepted.tolist() == [0, 1, 2]
+        built = []
+        batched.insert_block(
+            block[accepted], block_builder(block[accepted], accepted, built)
+        )
+        # Row 2 discards row 0 and is not built twice.
+        assert built == [1, 2]
+        assert [plan for _, plan in batched.entries] == [1, 2]
+        assert replay_entries(batched) == replay_entries(sequential)
+
+    def test_single_best_keeps_the_last_accepted_row(self):
+        weights = (1.0, 2.0, 0.5)
+        block = np.array([
+            [4.0, 1.0, 2.0], [3.0, 1.0, 2.0], [9.0, 9.0, 9.0],
+            [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+        ])
+        sequential = SingleBestPlanSet(weights)
+        batched = SingleBestPlanSet(weights)
+        for plan_set in (sequential, batched):
+            plan_set.insert((5.0, 5.0, 5.0), -1)
+        for position, row in enumerate(block.tolist()):
+            sequential.insert(tuple(row), position)
+        accepted = np.flatnonzero(batched.block_accept(block))
+        assert accepted.tolist() == [0, 1, 3]
+        built = []
+        batched.insert_block(
+            block[accepted], block_builder(block[accepted], accepted, built)
+        )
+        assert built == [2]
+        assert replay_entries(batched) == replay_entries(sequential)
+        assert batched.covers((1.0, 1.0, 1.0))
+        assert not batched.covers((0.5, 1.0, 1.0))
+

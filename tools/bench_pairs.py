@@ -14,12 +14,12 @@ them.
 
 The output holds every run's final JSON line and, per workload and
 metric, the median and quartiles of each side plus the ratio of the
-medians (change / parent). ``--traced`` adds one ``--trace 1`` run per
-side (seed 1) for the per-layer metrics. An existing output file is
-updated in place, workload by workload, so ``--pairs 0 --traced`` adds
-traced runs to earlier pairs. The parent revision is exported with
-``git archive`` into a temporary directory; perfbench itself is never
-modified.
+medians (change / parent). Each workload also gets one ``--trace 1``
+run per side (seed 1) for the per-layer metrics; ``--no-traced`` skips
+them. An existing output file is updated in place, workload by
+workload, so ``--pairs 0`` adds traced runs to earlier pairs. The
+parent revision is exported with ``git archive`` into a temporary
+directory; perfbench itself is never modified.
 """
 
 from __future__ import annotations
@@ -49,8 +49,10 @@ def parse_args(argv):
                         default=["rta-9obj", "rta-fullspace", "http-zipf"])
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--traced", action="store_true",
-                        help="also run one traced run per side")
+    parser.add_argument("--traced", action=argparse.BooleanOptionalAction,
+                        default=True,
+                        help="also run one traced run per side "
+                             "(default; --no-traced skips them)")
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
 
